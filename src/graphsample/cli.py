@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,7 +26,8 @@ from .harness import (
     read_originals,
     read_raw,
     run_experiment,
-    _write_tables,
+    write_distribution_csv,
+    write_tables,
 )
 from .properties import property_report
 from .samplers import SamplerConfig, sample
@@ -155,19 +157,17 @@ def _cmd_properties(args) -> int:
     else:
         print(text)
     if args.dist_dir:
-        from .harness import _write_distribution_csv
         out = Path(args.dist_dir)
         out.mkdir(parents=True, exist_ok=True)
         stem = Path(args.input).stem
         for kind, dist in rep.distributions().items():
-            _write_distribution_csv(out / f"{stem}.{kind}.dist.csv", dist)
+            write_distribution_csv(out / f"{stem}.{kind}.dist.csv", dist)
     return 0
 
 
 def _cmd_bench_run(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     if args.workers is not None:
-        import dataclasses
         cfg = dataclasses.replace(cfg, workers=args.workers)
     result = run_experiment(cfg)
     print(f"wrote report bundle to {result.output_dir}")
@@ -182,15 +182,12 @@ def _cmd_bench_aggregate(args) -> int:
     rows = read_raw(raw_path)
     orig_dir = Path(args.originals) if args.originals else raw_path.parent / "originals"
     originals = read_originals(orig_dir)
-    cell_dists = read_cell_distributions(raw_path.parent / "dists" / "cells")
+    cell_dists = read_cell_distributions(raw_path.parent / "dists" / "cells", rows)
     tables = aggregate(rows, originals, cell_dists=cell_dists)
-    labels = []
-    for r in rows:   # method order = first appearance in the raw rows
-        if r.method not in labels:
-            labels.append(r.method)
+    labels = list(dict.fromkeys(r.method for r in rows))   # order of first appearance
     out = Path(args.out_dir) if args.out_dir else raw_path.parent
     out.mkdir(parents=True, exist_ok=True)
-    _write_tables(out, tables, labels)
+    write_tables(out, tables, labels)
     print(f"wrote tables to {out}")
     for w in tables.warnings:
         print(f"warning: {w}", file=sys.stderr)

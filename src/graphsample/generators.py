@@ -8,7 +8,7 @@ node count.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -228,18 +228,3 @@ def calibrate_forest_fire(
         return float(np.mean(vals))
 
     return calibrate_parameter(measure, target_avg_degree, 0.05, 0.75, iterations)
-
-
-def config_with_target_degree(config: GeneratorConfig, target_avg_degree: float) -> GeneratorConfig:
-    """Return a config whose free parameter is re-calibrated to the target.
-
-    SW has no free density parameter beyond k (held fixed); FF bisects
-    pf; MM bisects nothing (k is integral) and is returned unchanged.
-    """
-    if config.model == "ff":
-        pf = calibrate_forest_fire(target_avg_degree, n=min(config.nodes, 10000))
-        return replace(config, ff_pf=pf)
-    if config.model == "sw":
-        k = 2 * max(1, int(round(target_avg_degree / 2.0)))
-        return replace(config, sw_k=k)
-    return config

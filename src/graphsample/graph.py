@@ -254,14 +254,6 @@ def dump_edge_list(g: Graph, path: str | Path) -> None:
             fh.write(f"{u} {v}\n")
 
 
-def dumps_edge_list(g: Graph) -> str:
-    buf = io.StringIO()
-    buf.write(f"# n={g.n} m={g.m}\n")
-    for u, v in g.edge_array():
-        buf.write(f"{u} {v}\n")
-    return buf.getvalue()
-
-
 def induced_subgraph(g: Graph, nodes: Iterable[int] | np.ndarray) -> Graph:
     """Subgraph over ``nodes`` (re-indexed densely by ascending id).
 

@@ -49,7 +49,12 @@ __all__ = [
     "default_method_suite",
     "derive_seed",
     "load_dataset",
+    "read_cell_distributions",
+    "read_originals",
+    "read_raw",
     "run_experiment",
+    "write_distribution_csv",
+    "write_tables",
 ]
 
 PROPERTY_ORDER = (
@@ -76,43 +81,19 @@ class DatasetSpec:
         if (self.path is None) == (self.generator is None):
             raise ValueError(f"dataset {self.name!r}: set exactly one of path/generator")
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"name": self.name, "category": self.category}
-        if self.path is not None:
-            out["path"] = self.path
-        if self.generator is not None:
-            out["generator"] = dataclasses.asdict(self.generator)
-        return out
-
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
-        known = {"name", "path", "generator", "category"}
-        _reject_unknown(d, known, "dataset")
         gen = d.get("generator")
-        return cls(
-            name=d["name"],
-            path=d.get("path"),
-            generator=_generator_from_dict(gen) if gen is not None else None,
-            category=d.get("category", ""),
-        )
+        gen = None if gen is None else _from_dict(GeneratorConfig, gen, "generator")
+        return _from_dict(cls, d, "dataset", generator=gen)
 
 
-def _generator_from_dict(d: dict) -> GeneratorConfig:
-    fields = {f.name for f in dataclasses.fields(GeneratorConfig)}
-    _reject_unknown(d, fields, "generator")
-    return GeneratorConfig(**d)
-
-
-def _sampler_from_dict(d: dict) -> SamplerConfig:
-    fields = {f.name for f in dataclasses.fields(SamplerConfig)}
-    _reject_unknown(d, fields, "sampler")
-    return SamplerConfig(**d)
-
-
-def _reject_unknown(d: dict, known: set[str], what: str) -> None:
-    unknown = set(d) - known
+def _from_dict(cls, d: dict, what: str, **parsed):
+    """Build dataclass ``cls`` from JSON dict ``d``; ``parsed`` holds fields already converted."""
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} config keys: {sorted(unknown)}")
+    return cls(**{**d, **parsed})
 
 
 @dataclass(frozen=True)
@@ -122,8 +103,6 @@ class ExperimentConfig:
     phis: tuple[float, ...] = (0.02, 0.04, 0.06, 0.08, 0.1)
     repetitions: int = 10
     master_seed: int = 0
-    # None keeps each sampler's own finalize mode; a string forces one for all
-    finalize_mode: str | None = None
     path_mode: str = "auto"
     path_sources: int = 256
     distribution_phi: float | None = None   # default: min(phis)
@@ -150,8 +129,6 @@ class ExperimentConfig:
                 raise ValueError("phis must lie in (0, 1]")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.finalize_mode not in (None, "induced", "collected"):
-            raise ValueError(f"unknown finalize mode {self.finalize_mode!r}")
         if self.distribution_phi is not None and self.distribution_phi not in self.phis:
             raise ValueError("distribution_phi must be one of the configured phis")
         if self.workers < 1:
@@ -162,36 +139,15 @@ class ExperimentConfig:
         return self.distribution_phi if self.distribution_phi is not None else min(self.phis)
 
     def to_dict(self) -> dict:
-        return {
-            "datasets": [d.to_dict() for d in self.datasets],
-            "samplers": [dataclasses.asdict(s) for s in self.samplers],
-            "phis": list(self.phis),
-            "repetitions": self.repetitions,
-            "master_seed": self.master_seed,
-            "finalize_mode": self.finalize_mode,
-            "path_mode": self.path_mode,
-            "path_sources": self.path_sources,
-            "distribution_phi": self.distribution_phi,
-            "output_dir": self.output_dir,
-            "workers": self.workers,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        _reject_unknown(d, known, "experiment")
-        return cls(
+        return _from_dict(
+            cls, d, "experiment",
             datasets=tuple(DatasetSpec.from_dict(x) for x in d["datasets"]),
-            samplers=tuple(_sampler_from_dict(x) for x in d["samplers"]),
-            phis=tuple(d.get("phis", (0.02, 0.04, 0.06, 0.08, 0.1))),
-            repetitions=d.get("repetitions", 10),
-            master_seed=d.get("master_seed", 0),
-            finalize_mode=d.get("finalize_mode", "induced"),
-            path_mode=d.get("path_mode", "auto"),
-            path_sources=d.get("path_sources", 256),
-            distribution_phi=d.get("distribution_phi"),
-            output_dir=d.get("output_dir", "bench_out"),
-            workers=d.get("workers", 1),
+            samplers=tuple(_from_dict(SamplerConfig, x, "sampler") for x in d["samplers"]),
+            phis=tuple(d.get("phis", cls.phis)),
         )
 
     @classmethod
@@ -242,8 +198,8 @@ def default_method_suite() -> tuple[SamplerConfig, ...]:
 
     FS, RD and HJ collect edges while traversing; XS is evaluated on the
     subgraph induced over its node set; LS's induction step makes both
-    modes coincide. Pass finalize_mode to ExperimentConfig to force a
-    single mode instead.
+    modes coincide. Each SamplerConfig's finalize_mode is the only place
+    the mode is chosen.
     """
     return (
         SamplerConfig(method="fs", finalize_mode="collected"),
@@ -273,14 +229,18 @@ def _original_report(
 ) -> tuple[PropertyReport, bool]:
     """Compute or fetch the cached original-graph report. Returns (report, hit)."""
     seed = derive_seed(cfg.master_seed, spec.name, "original")
-    key = _graph_fingerprint(g) + f"-{cfg.path_mode}-{cfg.path_sources}-{seed}"
+    # the package version keys the cache so a changed property kernel never reuses old reports
+    key = _graph_fingerprint(g) + f"-{cfg.path_mode}-{cfg.path_sources}-{seed}-{_pkg_version}"
     path = cache_dir / f"{spec.name}.{hashlib.sha256(key.encode()).hexdigest()[:16]}.json"
     if path.exists():
         with open(path, "r", encoding="utf-8") as fh:
             return PropertyReport.from_dict(json.load(fh)), True
     rep = property_report(g, path_mode=cfg.path_mode, path_sources=cfg.path_sources, seed=seed)
-    with open(path, "w", encoding="utf-8") as fh:
+    # write then rename, so a killed run never leaves a truncated file that reads as a hit
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(rep.to_dict(), fh)
+    os.replace(tmp, path)
     return rep, False
 
 
@@ -293,9 +253,8 @@ _CELL_GRAPHS: dict[str, Graph] = {}
 
 @dataclass
 class _CellJob:
-    index: int
     dataset: str
-    sampler: SamplerConfig    # phi/seed/finalize_mode already substituted
+    sampler: SamplerConfig    # phi and seed already substituted
     rep: int
     keep_distributions: bool
     path_mode: str
@@ -305,7 +264,6 @@ class _CellJob:
 
 @dataclass
 class _CellResult:
-    index: int
     scalars: dict[str, float | None] | None
     distributions: dict[str, Distribution] | None
     sample_seconds: float
@@ -320,7 +278,7 @@ def _run_cell(job: _CellJob) -> _CellResult:
     try:
         smp = sample(g, job.sampler)
     except Exception as exc:  # recorded, not fatal to the sweep
-        return _CellResult(job.index, None, None, 0.0, 0.0,
+        return _CellResult(None, None, 0.0, 0.0,
                            error=f"{type(exc).__name__}: {exc}", stage="sample")
     t1 = time.perf_counter()
     try:
@@ -328,11 +286,11 @@ def _run_cell(job: _CellJob) -> _CellResult:
         rep = property_report(sg, path_mode=job.path_mode,
                               path_sources=job.path_sources, seed=job.prop_seed)
     except Exception as exc:
-        return _CellResult(job.index, None, None, t1 - t0, 0.0,
+        return _CellResult(None, None, t1 - t0, 0.0,
                            error=f"{type(exc).__name__}: {exc}", stage="properties")
     t2 = time.perf_counter()
     dists = rep.distributions() if job.keep_distributions else None
-    return _CellResult(job.index, rep.scalars(), dists, t1 - t0, t2 - t1)
+    return _CellResult(rep.scalars(), dists, t1 - t0, t2 - t1)
 
 
 def _execute_cells(jobs: list[_CellJob], workers: int) -> list[_CellResult]:
@@ -340,8 +298,7 @@ def _execute_cells(jobs: list[_CellJob], workers: int) -> list[_CellResult]:
         return [_run_cell(j) for j in jobs]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
-        results = pool.map(_run_cell, jobs, chunksize=max(1, len(jobs) // (workers * 8)))
-    return results
+        return pool.map(_run_cell, jobs, chunksize=max(1, len(jobs) // (workers * 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,38 +342,28 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     active = [spec for spec in cfg.datasets if spec.name in graphs]
     jobs: list[_CellJob] = []
-    coords: list[tuple[str, str, float, int]] = []
     for spec in active:
         for scfg in cfg.samplers:
             for phi in cfg.phis:
                 for rep_i in range(cfg.repetitions):
                     seed = derive_seed(cfg.master_seed, spec.name, scfg.label, phi, rep_i)
                     prop_seed = derive_seed(cfg.master_seed, spec.name, scfg.label, phi, rep_i, "props")
-                    run_cfg = dataclasses.replace(
-                        scfg, phi=phi, seed=seed,
-                        finalize_mode=cfg.finalize_mode or scfg.finalize_mode,
-                        record_steps=False)
                     jobs.append(_CellJob(
-                        index=len(jobs),
                         dataset=spec.name,
-                        sampler=run_cfg,
+                        sampler=dataclasses.replace(scfg, phi=phi, seed=seed, record_steps=False),
                         rep=rep_i,
                         keep_distributions=(phi == cfg.ecdf_phi),
                         path_mode=cfg.path_mode,
                         path_sources=cfg.path_sources,
                         prop_seed=prop_seed,
                     ))
-                    coords.append((spec.name, scfg.label, phi, rep_i))
-
-    results = _execute_cells(jobs, cfg.workers)
-    results.sort(key=lambda r: r.index)
 
     rows: list[ReportRow] = []
     errors: list[dict] = []
     timings: list[dict] = []
     cell_dists: dict[tuple[str, str], dict[int, dict[str, Distribution]]] = {}
-    for res in results:
-        ds, label, phi, rep_i = coords[res.index]
+    for job, res in zip(jobs, _execute_cells(jobs, cfg.workers)):
+        ds, label, phi, rep_i = job.dataset, job.sampler.label, job.sampler.phi, job.rep
         timings.append({
             "dataset": ds, "method": label, "phi": phi, "rep": rep_i,
             "sample_seconds": round(res.sample_seconds, 6),
@@ -431,7 +378,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if res.distributions is not None:
             cell_dists.setdefault((ds, label), {})[rep_i] = res.distributions
 
-    _write_raw(out / "raw.csv", rows)
+    _write_dicts(out / "raw.csv", [dataclasses.asdict(r) for r in rows],
+                 [f.name for f in dataclasses.fields(ReportRow)])
     _write_dicts(out / "timings.csv", timings,
                  ["dataset", "method", "phi", "rep", "sample_seconds", "properties_seconds"])
     if errors:
@@ -440,7 +388,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     _write_cell_distributions(out / "dists" / "cells", cell_dists)
     tables = aggregate(rows, originals, cell_dists=cell_dists)
-    _write_tables(out, tables, [s.label for s in cfg.samplers])
+    write_tables(out, tables, [s.label for s in cfg.samplers])
     _write_distribution_files(out / "dists", originals, cell_dists)
 
     meta = {
@@ -504,13 +452,17 @@ def aggregate(
     phis_seen.sort()
 
     point_stats: list[dict] = []
+    rmse_rows: list[dict] = []
+    jsd_rows: list[dict] = []
     for ds in datasets_seen:
         orig = originals.get(ds)
         if orig is None:
             warnings.append(f"point_stats: no original report for {ds}")
             continue
         truth = orig.scalars()
+        odists = orig.distributions() if cell_dists else {}
         for method in methods_seen:
+            at = {"dataset": ds, "method": method}
             for phi in phis_seen:
                 for prop in PROPERTY_ORDER:
                     reps = cells.get((ds, method, phi, prop))
@@ -524,34 +476,23 @@ def aggregate(
                         if v is not None and t is not None
                     ]
                     ratios = [r for r in ratios if r is not None]
+                    row = {**at, "phi": phi, "property": prop,
+                           "scaling_ratio_mean": None, "ci95": None, "n": 0}
+                    point_stats.append(row)
                     if not ratios:
                         warnings.append(f"point_stats gap: {ds}/{method}/phi={phi}/{prop}")
-                        point_stats.append({
-                            "dataset": ds, "method": method, "phi": phi, "property": prop,
-                            "scaling_ratio_mean": None, "ci95": None, "n": 0,
-                        })
                         continue
                     ci = confidence_interval_95(ratios)
-                    point_stats.append({
-                        "dataset": ds, "method": method, "phi": phi, "property": prop,
-                        "scaling_ratio_mean": ci.mean,
-                        "ci95": ci.half_width if ci.half_width is not None else 0.0,
-                        "n": len(ratios),
-                    })
+                    row["scaling_ratio_mean"] = ci.mean
+                    row["ci95"] = ci.half_width if ci.half_width is not None else 0.0
+                    row["n"] = len(ratios)
 
-    rmse_rows: list[dict] = []
-    for ds in datasets_seen:
-        orig = originals.get(ds)
-        if orig is None:
-            continue
-        truth = orig.scalars()
-        for method in methods_seen:
             for prop in PROPERTY_ORDER:
+                row = {**at, "property": prop, "rmse": None, "rmse_std": None}
+                rmse_rows.append(row)
                 t = truth[prop]
                 if t is None:
                     warnings.append(f"rmse gap (original undefined): {ds}/{prop}")
-                    rmse_rows.append({"dataset": ds, "method": method, "property": prop,
-                                      "rmse": None, "rmse_std": None})
                     continue
                 phi_means: list[float] = []
                 per_rep: dict[int, list[float]] = {}
@@ -568,54 +509,36 @@ def aggregate(
                     for r, v in reps.items():
                         if v is not None:
                             per_rep.setdefault(r, []).append(v)
-                if not phi_means:
-                    rmse_rows.append({"dataset": ds, "method": method, "property": prop,
-                                      "rmse": None, "rmse_std": None})
-                    continue
-                value = rmse(phi_means, t)
-                rep_rmses = [rmse(vs, t) for vs in per_rep.values() if vs]
-                std = float(np.std(rep_rmses, ddof=1)) if len(rep_rmses) > 1 else 0.0
-                rmse_rows.append({"dataset": ds, "method": method, "property": prop,
-                                  "rmse": value, "rmse_std": std})
+                if phi_means:
+                    row["rmse"] = rmse(phi_means, t)
+                    rep_rmses = [rmse(vs, t) for vs in per_rep.values() if vs]
+                    row["rmse_std"] = float(np.std(rep_rmses, ddof=1)) if len(rep_rmses) > 1 else 0.0
 
-    jsd_rows: list[dict] = []
-    if cell_dists:
-        for ds in datasets_seen:
-            orig = originals.get(ds)
-            if orig is None:
+            if not cell_dists:
                 continue
-            odists = orig.distributions()
-            for method in methods_seen:
-                reps = cell_dists.get((ds, method), {})
-                for kind in DISTRIBUTION_KINDS:
-                    vals = [jsd(d[kind], odists[kind]) for _, d in sorted(reps.items())]
-                    if not vals:
-                        warnings.append(f"jsd gap: {ds}/{method}/{kind}")
-                        jsd_rows.append({"dataset": ds, "method": method, "distribution": kind,
-                                         "jsd_mean": None, "jsd_std": None})
-                        continue
-                    jsd_rows.append({
-                        "dataset": ds, "method": method, "distribution": kind,
-                        "jsd_mean": float(np.mean(vals)),
-                        "jsd_std": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0,
-                    })
+            by_rep = cell_dists.get((ds, method), {})
+            for kind in DISTRIBUTION_KINDS:
+                vals = [jsd(d[kind], odists[kind]) for _, d in sorted(by_rep.items())]
+                row = {**at, "distribution": kind, "jsd_mean": None, "jsd_std": None}
+                jsd_rows.append(row)
+                if not vals:
+                    warnings.append(f"jsd gap: {ds}/{method}/{kind}")
+                    continue
+                row["jsd_mean"] = float(np.mean(vals))
+                row["jsd_std"] = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
 
     summary: list[dict] = []
-    for prop in PROPERTY_ORDER:
-        entry: dict[str, Any] = {"metric": "rmse", "property": prop}
-        for method in methods_seen:
-            vals = [r["rmse"] for r in rmse_rows
-                    if r["method"] == method and r["property"] == prop and r["rmse"] is not None]
-            entry[method] = float(np.mean(vals)) if vals else None
-        summary.append(entry)
-    for kind in DISTRIBUTION_KINDS:
-        entry = {"metric": "jsd", "property": kind}
-        for method in methods_seen:
-            vals = [r["jsd_mean"] for r in jsd_rows
-                    if r["method"] == method and r["distribution"] == kind
-                    and r["jsd_mean"] is not None]
-            entry[method] = float(np.mean(vals)) if vals else None
-        summary.append(entry)
+    for metric, table, key, col, names in (
+        ("rmse", rmse_rows, "property", "rmse", PROPERTY_ORDER),
+        ("jsd", jsd_rows, "distribution", "jsd_mean", DISTRIBUTION_KINDS),
+    ):
+        for name in names:
+            entry: dict[str, Any] = {"metric": metric, "property": name}
+            for method in methods_seen:
+                vals = [r[col] for r in table
+                        if r["method"] == method and r[key] == name and r[col] is not None]
+                entry[method] = float(np.mean(vals)) if vals else None
+            summary.append(entry)
 
     return Tables(point_stats=point_stats, rmse=rmse_rows, jsd=jsd_rows,
                   summary=summary, warnings=warnings)
@@ -631,14 +554,6 @@ def _fmt(x: Any) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
-
-
-def _write_raw(path: Path, rows: list[ReportRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["dataset", "method", "phi", "rep", "property", "value"])
-        for r in rows:
-            w.writerow([r.dataset, r.method, _fmt(r.phi), r.rep, r.property, _fmt(r.value)])
 
 
 def read_raw(path: str | Path) -> list[ReportRow]:
@@ -664,7 +579,8 @@ def _write_dicts(path: Path, rows: list[dict], columns: list[str]) -> None:
             w.writerow([_fmt(r.get(c)) for c in columns])
 
 
-def _write_tables(out: Path, tables: Tables, method_labels: Sequence[str]) -> None:
+def write_tables(out: Path, tables: Tables, method_labels: Sequence[str]) -> None:
+    """Write point_stats.csv, rmse.csv, jsd.csv and summary.csv under ``out``."""
     _write_dicts(out / "point_stats.csv", tables.point_stats,
                  ["dataset", "method", "phi", "property", "scaling_ratio_mean", "ci95", "n"])
     _write_dicts(out / "rmse.csv", tables.rmse,
@@ -675,7 +591,8 @@ def _write_tables(out: Path, tables: Tables, method_labels: Sequence[str]) -> No
                  ["metric", "property"] + list(method_labels))
 
 
-def _write_distribution_csv(path: Path, dist: Distribution) -> None:
+def write_distribution_csv(path: Path, dist: Distribution) -> None:
+    """Write one distribution as support,pmf,ecdf rows."""
     ecdf = dist.ecdf()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -702,13 +619,13 @@ def _write_distribution_files(
 ) -> None:
     for ds, rep in sorted(originals.items()):
         for kind, dist in rep.distributions().items():
-            _write_distribution_csv(dist_dir / f"{ds}.original.{kind}.dist.csv", dist)
+            write_distribution_csv(dist_dir / f"{ds}.original.{kind}.dist.csv", dist)
     for (ds, method), reps in sorted(cell_dists.items()):
         for kind in DISTRIBUTION_KINDS:
             per_rep = [d[kind] for _, d in sorted(reps.items())]
             if per_rep:
-                _write_distribution_csv(dist_dir / f"{ds}.{method}.{kind}.dist.csv",
-                                        _mean_distribution(per_rep))
+                write_distribution_csv(dist_dir / f"{ds}.{method}.{kind}.dist.csv",
+                                       _mean_distribution(per_rep))
 
 
 def _write_cell_distributions(
@@ -725,14 +642,19 @@ def _write_cell_distributions(
 
 
 def read_cell_distributions(
-    cell_dir: str | Path,
+    cell_dir: str | Path, rows: Iterable[ReportRow],
 ) -> dict[tuple[str, str], dict[int, dict[str, Distribution]]]:
+    """Per-repetition distributions of each (dataset, method) in ``rows`` that has a file.
+
+    File names are looked up from the pairs rather than split, since a
+    dataset name or sampler tag may itself contain dots.
+    """
     out: dict[tuple[str, str], dict[int, dict[str, Distribution]]] = {}
     cell_dir = Path(cell_dir)
-    if not cell_dir.is_dir():
-        return out
-    for path in sorted(cell_dir.glob("*.json")):
-        ds, method = path.stem.rsplit(".", 1)
+    for ds, method in dict.fromkeys((r.dataset, r.method) for r in rows):
+        path = cell_dir / f"{ds}.{method}.json"
+        if not path.is_file():
+            continue
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         out[(ds, method)] = {

@@ -79,9 +79,6 @@ class CI95:
     mean: float
     half_width: float | None   # None when fewer than two values
 
-    def as_tuple(self) -> tuple[float, float | None]:
-        return self.mean, self.half_width
-
 
 def confidence_interval_95(values: Sequence[float]) -> CI95:
     """Mean and 1.96 * stdev / sqrt(k) half-width (sample standard deviation)."""

@@ -31,7 +31,6 @@ __all__ = [
     "local_clustering_all",
     "path_length_stats",
     "average_path_length",
-    "path_length_distribution",
     "property_report",
     "triangle_edge_counts",
 ]
@@ -301,10 +300,6 @@ def path_length_stats(
 
 def average_path_length(g: Graph, mode: str = "auto", sources: int = 256, seed: int = 0) -> float:
     return path_length_stats(g, mode=mode, sources=sources, seed=seed)[0]
-
-
-def path_length_distribution(g: Graph, mode: str = "auto", sources: int = 256, seed: int = 0) -> Distribution:
-    return path_length_stats(g, mode=mode, sources=sources, seed=seed)[1]
 
 
 # ---------------------------------------------------------------------------

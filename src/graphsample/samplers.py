@@ -174,17 +174,14 @@ def node_budget(phi: float, n: int) -> int:
     x = phi * n
     if x < 1.0 - 1e-9:
         raise ValueError("phi * n must be at least 1")
-    nearest = round(x)
-    if abs(x - nearest) < 1e-9 * max(1.0, x):
-        budget = int(nearest)
-    else:
-        budget = int(math.ceil(x))
+    budget = _ceil_count(x)
     if budget < 1:
         raise ValueError("phi * n must be at least 1")
     return min(budget, n)
 
 
 def _ceil_count(x: float) -> int:
+    """ceil(x), except that x within float noise of an integer rounds to it."""
     nearest = round(x)
     if abs(x - nearest) < 1e-9 * max(1.0, abs(x)):
         return int(nearest)
@@ -231,6 +228,14 @@ class _Run:
                 mask = with_deg
         pool = np.flatnonzero(mask)
         return int(pool[rng.integers(len(pool))])
+
+    def restart(self, rng: np.random.Generator, positive_degree: bool = False) -> int:
+        """Sample a uniform unsampled node after a dead end and return it."""
+        u = self.uniform_unsampled(rng, positive_degree)
+        self.visit(u)
+        self.tel.restarts += 1
+        self.log("visit", u)
+        return u
 
 
 def _induced_edges(g: Graph, nodes: np.ndarray) -> np.ndarray:
@@ -427,11 +432,7 @@ def expansion_sample(g: Graph, cfg: SamplerConfig) -> Sample:
                 best = v
                 break
         if best < 0:
-            u = run.uniform_unsampled(rng)
-            run.visit(u)
-            run.tel.restarts += 1
-            run.log("visit", u)
-            absorb(u)
+            absorb(run.restart(rng))
             continue
         nb = g.neighbors(best)
         anchor = int(nb[run.sampled[nb]][0])    # smallest sampled neighbor
@@ -469,11 +470,7 @@ def rank_degree_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     seed_set = list(seeds)
     while not run.full():
         if not seed_set:
-            u = run.uniform_unsampled(rng)
-            run.visit(u)
-            run.tel.restarts += 1
-            run.log("visit", u)
-            seed_set = [u]
+            seed_set = [run.restart(rng)]
             continue
         i = int(rng.integers(len(seed_set)))
         u = seed_set[i]
@@ -554,11 +551,7 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     while not run.full():
         v = pop_candidate()
         if v < 0:
-            u = run.uniform_unsampled(rng)
-            run.visit(u)
-            run.tel.restarts += 1
-            run.log("visit", u)
-            push_neighbors(u)
+            push_neighbors(run.restart(rng))
             continue
         nb = g.neighbors(v)
         anchors = nb[run.sampled[nb]]
@@ -641,10 +634,7 @@ def hybrid_jump_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     stall = 0
     while not run.full():
         if degs[v] == 0:   # parked on an isolated node (possible via restart)
-            v = run.uniform_unsampled(rng, positive_degree=True)
-            run.visit(v)
-            run.tel.restarts += 1
-            run.log("visit", v)
+            v = run.restart(rng, positive_degree=True)
             continue
         w, accepted = _mh_propose(g, degs, v, rng)
         if cfg.record_steps:
@@ -666,11 +656,7 @@ def hybrid_jump_sample(g: Graph, cfg: SamplerConfig) -> Sample:
                 v = t
         stall = 0 if new else stall + 1
         if stall >= cfg.hj_stall_limit and not run.full():
-            u = run.uniform_unsampled(rng)
-            run.visit(u)
-            run.tel.restarts += 1
-            run.log("visit", u)
-            v = u
+            v = run.restart(rng)
             stall = 0
     return finalize(g, _raw_sample(run), cfg.finalize_mode)
 

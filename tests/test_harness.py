@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from graphsample import harness
 from graphsample.generators import GeneratorConfig
 from graphsample.harness import (
     DatasetSpec,
@@ -90,6 +91,15 @@ class TestRunExperiment:
         meta = json.loads((res.output_dir / "meta.json").read_text())
         assert meta["datasets"]["mm400"]["original_cache_hit"] is True
 
+    def test_original_cache_keyed_by_package_version(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "out", phis=(0.1,), repetitions=1)
+        run_experiment(cfg)
+        monkeypatch.setattr(harness, "_pkg_version", harness._pkg_version + ".next")
+        res = run_experiment(cfg)
+        meta = json.loads((res.output_dir / "meta.json").read_text())
+        assert meta["datasets"]["mm400"]["original_cache_hit"] is False
+        assert not list((res.output_dir / "cache").glob("*.tmp"))
+
     def test_dataset_failure_is_isolated(self, tmp_path):
         cfg = tiny_config(
             tmp_path / "out",
@@ -156,16 +166,19 @@ class TestAggregate:
         got = [r for r in res.tables.rmse if r["property"] == "avg_degree"][0]["rmse"]
         assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_roundtrip_reaggregation(self, tmp_path):
-        res = run_experiment(tiny_config(tmp_path / "out"))
+    @pytest.mark.parametrize("tag", [None, "ls.v2"])
+    def test_roundtrip_reaggregation(self, tmp_path, tag):
+        res = run_experiment(tiny_config(tmp_path / "out",
+                                         samplers=(SamplerConfig(method="ls", tag=tag),)))
         out = res.output_dir
         rows = read_raw(out / "raw.csv")
         originals = read_originals(out / "originals")
-        dists = read_cell_distributions(out / "dists" / "cells")
+        dists = read_cell_distributions(out / "dists" / "cells", rows)
         tables = aggregate(rows, originals, cell_dists=dists)
         assert tables.summary == res.tables.summary
         assert tables.rmse == res.tables.rmse
         assert tables.jsd == res.tables.jsd
+        assert all(r["jsd_mean"] is not None for r in tables.jsd)
 
     def test_missing_cells_leave_gaps(self, tmp_path):
         res = run_experiment(tiny_config(tmp_path / "out"))
@@ -190,7 +203,37 @@ class TestConfig:
                 "bogus_knob": 1,
             })
         with pytest.raises(ValueError, match="unknown"):
+            # the finalize mode is chosen per sampler only
+            ExperimentConfig.from_dict({
+                "datasets": [{"name": "x", "path": "p"}],
+                "samplers": [{"method": "ls"}],
+                "finalize_mode": "induced",
+            })
+        with pytest.raises(ValueError, match="unknown"):
             DatasetSpec.from_dict({"name": "x", "path": "p", "what": 1})
+
+    def test_json_config_keeps_each_sampler_finalize_mode(self, tmp_path, monkeypatch):
+        seen = {}
+        real_sample = harness.sample
+
+        def spy(g, scfg):
+            seen[scfg.label] = scfg.finalize_mode
+            return real_sample(g, scfg)
+
+        monkeypatch.setattr(harness, "sample", spy)
+        # shaped like the README example: FS names its mode, LS takes the default
+        cfg = ExperimentConfig.from_dict({
+            "output_dir": str(tmp_path / "out"),
+            "master_seed": 20,
+            "phis": [0.1],
+            "repetitions": 1,
+            "datasets": [{"name": "sw", "category": "synthetic",
+                          "generator": {"model": "sw", "nodes": 300, "seed": 100}}],
+            "samplers": [{"method": "fs", "finalize_mode": "collected"}, {"method": "ls"}],
+        })
+        res = run_experiment(cfg)
+        assert not res.errors
+        assert seen == {"fs": "collected", "ls": "induced"}
 
     def test_validation(self, tmp_path):
         cfg = tiny_config(tmp_path / "o", repetitions=0)

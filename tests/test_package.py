@@ -1,0 +1,27 @@
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import graphsample
+
+MODULES = ("graphsample", "graphsample.graph", "graphsample.generators",
+           "graphsample.samplers", "graphsample.properties", "graphsample.community",
+           "graphsample.metrics", "graphsample.harness")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    mod = importlib.import_module(name)
+    missing = [n for n in mod.__all__ if not hasattr(mod, n)]
+    assert not missing
+
+
+def test_cli_imports_only_public_names():
+    cli = Path(graphsample.__file__).with_name("cli.py")
+    private = []
+    for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("graphsample")):
+            private += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert not private
