@@ -467,6 +467,7 @@ def aggregate(
                 for prop in PROPERTY_ORDER:
                     reps = cells.get((ds, method, phi, prop))
                     if not reps:
+                        warnings.append(f"missing cell: {ds}/{method}/phi={phi}/{prop}")
                         continue
                     shift = RATIO_SHIFTS.get(prop, 0.0)
                     t = truth[prop]

@@ -198,14 +198,20 @@ def local_clustering(g: Graph, v: int) -> float:
     return twice_e / (d * (d - 1.0))
 
 
+def _clustering(g: Graph, tri: np.ndarray) -> tuple[np.ndarray, float]:
+    """(local clustering per node, global clustering) from ``triangle_edge_counts(g)``."""
+    degs = g.degrees().astype(np.float64)
+    local = np.zeros(g.n, dtype=np.float64)
+    mask = degs >= 2
+    local[mask] = 2.0 * tri[mask] / (degs[mask] * (degs[mask] - 1.0))
+    triplets = float((degs * (degs - 1.0) / 2.0).sum())
+    # closed triplets (3 * triangles) over all triplets; 0 without a triplet
+    return local, float(tri.sum()) / triplets if triplets else 0.0
+
+
 def local_clustering_all(g: Graph) -> np.ndarray:
     """Local clustering coefficient per node (0 for degree < 2)."""
-    degs = g.degrees().astype(np.float64)
-    e = triangle_edge_counts(g).astype(np.float64)
-    out = np.zeros(g.n, dtype=np.float64)
-    mask = degs >= 2
-    out[mask] = 2.0 * e[mask] / (degs[mask] * (degs[mask] - 1.0))
-    return out
+    return _clustering(g, triangle_edge_counts(g))[0]
 
 
 def avg_clustering(g: Graph, include_low_degree: bool = True) -> float:
@@ -229,12 +235,7 @@ def clustering_distribution(g: Graph) -> Distribution:
 
 def global_clustering(g: Graph) -> float:
     """Closed triplets over all triplets; 0 when the graph has no triplet."""
-    degs = g.degrees().astype(np.float64)
-    triplets = float((degs * (degs - 1.0) / 2.0).sum())
-    if triplets == 0.0:
-        return 0.0
-    closed = float(triangle_edge_counts(g).sum())   # 3 * triangles
-    return closed / triplets
+    return _clustering(g, triangle_edge_counts(g))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +341,13 @@ def property_report(
         raise ValueError("property report needs a non-empty graph with edges")
     mean_path, path_dist, flags = path_length_stats(
         g, mode=path_mode, sources=path_sources, seed=seed)
-    cc = local_clustering_all(g)
+    cc, gcc = _clustering(g, triangle_edge_counts(g))
     labels = detect_communities(g, seed=seed)
     r = assortativity(g)
-    degs = g.degrees().astype(np.float64)
-    triplets = float((degs * (degs - 1.0) / 2.0).sum())
     flags = dict(flags)
     flags.update({
         "assortativity_defined": r is not None,
-        "gcc_has_triplets": triplets > 0,
+        "gcc_has_triplets": bool((g.degrees() >= 2).any()),
         "community_count": int(labels.max()) + 1,
         "community_seed": seed,
     })
@@ -356,7 +355,7 @@ def property_report(
         avg_degree=average_degree(g),
         avg_clustering=float(cc.mean()),
         avg_path_length=mean_path,
-        global_clustering=global_clustering(g),
+        global_clustering=gcc,
         assortativity=r,
         modularity=modularity(g, labels),
         degree_distribution=degree_distribution(g),

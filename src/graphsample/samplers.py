@@ -9,6 +9,7 @@ bit-identical samples.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import Graph, induced_edges, subgraph
 
 __all__ = [
     "Sample",
@@ -69,10 +70,6 @@ class SamplerConfig:
     def validate(self, n: int) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not 0.0 < self.phi <= 1.0:
-            raise ValueError("phi must be in (0, 1]")
-        if self.phi * n < 1.0 - 1e-9:
-            raise ValueError("phi * n must be at least 1")
         if self.finalize_mode not in ("induced", "collected"):
             raise ValueError(f"unknown finalize mode {self.finalize_mode!r}")
         if self.method == "fs":
@@ -163,7 +160,7 @@ class Sample:
             },
         }
         if cfg is not None:
-            out["config"] = {k: v for k, v in cfg.__dict__.items()}
+            out["config"] = dataclasses.asdict(cfg)
         return out
 
 
@@ -189,11 +186,15 @@ def _ceil_count(x: float) -> int:
 
 
 class _Run:
-    """Mutable sampling state shared by all methods."""
+    """Mutable sampling state shared by all methods: validates the config,
+    owns the RNG, and turns the finished run into a finalized Sample."""
 
     def __init__(self, g: Graph, cfg: SamplerConfig):
+        cfg.validate(g.n)
         self.g = g
         self.cfg = cfg
+        self.rng = np.random.default_rng(cfg.seed)
+        self.degs = g.degrees()
         self.budget = node_budget(cfg.phi, g.n)
         self.sampled = np.zeros(g.n, dtype=bool)
         self.tel = Telemetry(method=cfg.method)
@@ -220,46 +221,31 @@ class _Run:
         if self.cfg.record_steps:
             self.tel.events.append(event)
 
-    def uniform_unsampled(self, rng: np.random.Generator, positive_degree: bool = False) -> int:
+    def uniform_unsampled(self, positive_degree: bool = False) -> int:
         mask = ~self.sampled
         if positive_degree:
-            with_deg = mask & (self.g.degrees() > 0)
+            with_deg = mask & (self.degs > 0)
             if with_deg.any():
                 mask = with_deg
         pool = np.flatnonzero(mask)
-        return int(pool[rng.integers(len(pool))])
+        return int(pool[self.rng.integers(len(pool))])
 
-    def restart(self, rng: np.random.Generator, positive_degree: bool = False) -> int:
+    def restart(self, positive_degree: bool = False) -> int:
         """Sample a uniform unsampled node after a dead end and return it."""
-        u = self.uniform_unsampled(rng, positive_degree)
+        u = self.uniform_unsampled(positive_degree)
         self.visit(u)
         self.tel.restarts += 1
         self.log("visit", u)
         return u
 
-
-def _induced_edges(g: Graph, nodes: np.ndarray) -> np.ndarray:
-    """All g-edges internal to ``nodes``; scans only the sampled adjacency."""
-    mask = np.zeros(g.n, dtype=bool)
-    mask[nodes] = True
-    rows = []
-    for v in nodes:
-        nb = g.neighbors(int(v))
-        keep = nb[(nb > v) & mask[nb]]
-        if len(keep):
-            rows.append(np.column_stack([np.full(len(keep), v, dtype=np.int64),
-                                         keep.astype(np.int64)]))
-    if not rows:
-        return np.zeros((0, 2), dtype=np.int64)
-    out = np.concatenate(rows)
-    return out[np.lexsort((out[:, 1], out[:, 0]))]
-
-
-def _edge_set_to_array(edges: set[tuple[int, int]]) -> np.ndarray:
-    if not edges:
-        return np.zeros((0, 2), dtype=np.int64)
-    out = np.array(sorted(edges), dtype=np.int64)
-    return out
+    def finish(self, edges: np.ndarray | None = None) -> Sample:
+        """Finalize the run; ``edges`` replaces the collected edge set."""
+        if edges is None:
+            edges = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
+        raw = Sample(nodes=np.array(self.tel.visit_order, dtype=np.int64), edges=edges,
+                     method=self.cfg.method, phi=self.cfg.phi, seed=self.cfg.seed,
+                     mode="raw", telemetry=self.tel)
+        return finalize(self.g, raw, self.cfg.finalize_mode)
 
 
 def finalize(g: Graph, raw: Sample, mode: str | None = None) -> Sample:
@@ -279,7 +265,7 @@ def finalize(g: Graph, raw: Sample, mode: str | None = None) -> Sample:
     raw.telemetry.trims = len(order) - len(kept)
     nodes = np.array(sorted(kept), dtype=np.int64)
     if mode == "induced":
-        edges = _induced_edges(g, nodes)
+        edges = induced_edges(g, nodes)
     else:
         mask = np.zeros(g.n, dtype=bool)
         mask[nodes] = True
@@ -291,18 +277,6 @@ def finalize(g: Graph, raw: Sample, mode: str | None = None) -> Sample:
             edges = collected
     return Sample(nodes=nodes, edges=edges, method=raw.method, phi=raw.phi,
                   seed=raw.seed, mode=mode, telemetry=raw.telemetry)
-
-
-def _raw_sample(run: _Run) -> Sample:
-    return Sample(
-        nodes=np.array(run.tel.visit_order, dtype=np.int64),
-        edges=_edge_set_to_array(run.edges),
-        method=run.cfg.method,
-        phi=run.cfg.phi,
-        seed=run.cfg.seed,
-        mode="raw",
-        telemetry=run.tel,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +293,8 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     ``fs_stall_limit`` steps (possible on disconnected graphs), one
     walker teleports to a uniform unsampled node.
     """
-    cfg.validate(g.n)
-    rng = np.random.default_rng(cfg.seed)
     run = _Run(g, cfg)
-    degs = g.degrees()
+    rng, degs = run.rng, run.degs
 
     # walkers live on edges, so isolated nodes are never eligible seeds
     eligible = np.flatnonzero(degs > 0)
@@ -356,14 +328,14 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
         run.tel.steps += 1
         stall = 0 if new else stall + 1
         if stall >= cfg.fs_stall_limit and not run.full():
-            u = run.uniform_unsampled(rng, positive_degree=True)
+            u = run.uniform_unsampled(positive_degree=True)
             k = int(rng.integers(len(walkers)))
             walkers[k] = u
             wdeg[k] = degs[u]
             run.tel.teleports += 1
             run.log("seed", u)
             stall = 0
-    return finalize(g, _raw_sample(run), cfg.finalize_mode)
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +351,8 @@ def expansion_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     smallest id. An exhausted component triggers a restart from a uniform
     unsampled seed.
     """
-    cfg.validate(g.n)
-    rng = np.random.default_rng(cfg.seed)
     run = _Run(g, cfg)
     run.tel.params = {"xs_seed_rule": cfg.xs_seed_rule}
-    degs = g.degrees()
 
     covered = np.zeros(g.n, dtype=bool)     # membership in S union N(S)
     in_frontier = np.zeros(g.n, dtype=bool)
@@ -416,8 +385,8 @@ def expansion_sample(g: Graph, cfg: SamplerConfig) -> Sample:
 
     def seed_node() -> int:
         if cfg.xs_seed_rule == "max_degree" and run.count == 0:
-            return int(np.lexsort((np.arange(g.n), -degs))[0])
-        return run.uniform_unsampled(rng)
+            return int(np.lexsort((np.arange(g.n), -run.degs))[0])
+        return run.uniform_unsampled()
 
     v0 = seed_node()
     run.visit(v0)
@@ -432,7 +401,7 @@ def expansion_sample(g: Graph, cfg: SamplerConfig) -> Sample:
                 best = v
                 break
         if best < 0:
-            absorb(run.restart(rng))
+            absorb(run.restart())
             continue
         nb = g.neighbors(best)
         anchor = int(nb[run.sampled[nb]][0])    # smallest sampled neighbor
@@ -441,7 +410,7 @@ def expansion_sample(g: Graph, cfg: SamplerConfig) -> Sample:
         run.log("edge", anchor, best)
         run.tel.steps += 1
         absorb(best)
-    return finalize(g, _raw_sample(run), cfg.finalize_mode)
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +425,10 @@ def rank_degree_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     the top ceil(rho * count) of them together with their edges to the
     seed, and promotes exactly those nodes to be the next seed set.
     """
-    cfg.validate(g.n)
-    rng = np.random.default_rng(cfg.seed)
     run = _Run(g, cfg)
     run.tel.params = {"rd_seeds": cfg.rd_seeds, "rd_rho": cfg.rd_rho}
-    degs = g.degrees()
 
-    seeds = [int(v) for v in rng.choice(g.n, size=cfg.rd_seeds, replace=False)]
+    seeds = [int(v) for v in run.rng.choice(g.n, size=cfg.rd_seeds, replace=False)]
     for v in seeds:
         run.visit(v)
         run.log("visit", v)
@@ -470,16 +436,16 @@ def rank_degree_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     seed_set = list(seeds)
     while not run.full():
         if not seed_set:
-            seed_set = [run.restart(rng)]
+            seed_set = [run.restart()]
             continue
-        i = int(rng.integers(len(seed_set)))
+        i = int(run.rng.integers(len(seed_set)))
         u = seed_set[i]
         nb = g.neighbors(u)
         cand = nb[~run.sampled[nb]]
         if len(cand) == 0:
             seed_set.pop(i)
             continue
-        order = np.lexsort((cand, -degs[cand]))   # degree desc, id asc
+        order = np.lexsort((cand, -run.degs[cand]))   # degree desc, id asc
         k = max(1, _ceil_count(cfg.rd_rho * len(cand)))
         top = [int(cand[j]) for j in order[:k]]
         for w in top:
@@ -488,7 +454,7 @@ def rank_degree_sample(g: Graph, cfg: SamplerConfig) -> Sample:
             run.log("edge", u, w)
         run.tel.steps += 1
         seed_set = top
-    return finalize(g, _raw_sample(run), cfg.finalize_mode)
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +472,8 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     edge set to all g-edges among sampled nodes, so the collected and
     induced finalize modes coincide for this sampler.
     """
-    cfg.validate(g.n)
-    rng = np.random.default_rng(cfg.seed)
     run = _Run(g, cfg)
     run.tel.params = {"ls_rule": cfg.ls_rule}
-    degs = g.degrees()
 
     queued = np.zeros(g.n, dtype=bool)
     heap: list[tuple[int, int]] = []
@@ -523,7 +486,7 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
             if not queued[w] and not run.sampled[w]:
                 queued[w] = True
                 if by_degree:
-                    heapq.heappush(heap, (-int(degs[w]), w))
+                    heapq.heappush(heap, (-int(run.degs[w]), w))
                 else:
                     pool.append(w)
 
@@ -535,7 +498,7 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
                     return cand
             return -1
         while pool:
-            i = int(rng.integers(len(pool)))
+            i = int(run.rng.integers(len(pool)))
             cand = pool[i]
             pool[i] = pool[-1]
             pool.pop()
@@ -543,7 +506,7 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
                 return cand
         return -1
 
-    v0 = run.uniform_unsampled(rng)
+    v0 = run.uniform_unsampled()
     run.visit(v0)
     run.log("visit", v0)
     push_neighbors(v0)
@@ -551,7 +514,7 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     while not run.full():
         v = pop_candidate()
         if v < 0:
-            push_neighbors(run.restart(rng))
+            push_neighbors(run.restart())
             continue
         nb = g.neighbors(v)
         anchors = nb[run.sampled[nb]]
@@ -561,10 +524,8 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
         run.tel.steps += 1
         push_neighbors(v)
 
-    raw = _raw_sample(run)
     # induction step: edge set = all edges among sampled nodes
-    raw.edges = _induced_edges(g, np.array(sorted(run.tel.visit_order), dtype=np.int64))
-    return finalize(g, raw, cfg.finalize_mode)
+    return run.finish(induced_edges(g, np.array(sorted(run.tel.visit_order), dtype=np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -585,23 +546,16 @@ def _mh_propose(g: Graph, degs: np.ndarray, v: int, rng: np.random.Generator) ->
 
 
 def _jump_candidates(g: Graph, v: int, depth: int) -> np.ndarray:
-    """Unique nodes within ``depth`` hops of v, excluding v itself."""
+    """Sorted unique nodes within ``depth`` hops of v, excluding v itself."""
+    seen = np.zeros(g.n, dtype=bool)
+    seen[v] = True
     frontier = np.array([v], dtype=np.int64)
-    seen = {int(v)}
-    found: list[int] = []
     for _ in range(depth):
-        nxt: list[int] = []
-        for u in frontier:
-            for w in g.neighbors(int(u)):
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    found.append(w)
-        if not nxt:
-            break
-        frontier = np.array(nxt, dtype=np.int64)
-    return np.array(sorted(found), dtype=np.int64)
+        _, dst = g.rows(frontier)
+        frontier = np.unique(dst[~seen[dst]])
+        seen[frontier] = True
+    seen[v] = False
+    return np.flatnonzero(seen)
 
 
 def hybrid_jump_sample(g: Graph, cfg: SamplerConfig) -> Sample:
@@ -613,10 +567,8 @@ def hybrid_jump_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     after every step the walker jumps, with the jump probability, to a
     uniform node among those within ``hj_bfs_depth`` hops.
     """
-    cfg.validate(g.n)
-    rng = np.random.default_rng(cfg.seed)
     run = _Run(g, cfg)
-    degs = g.degrees()
+    rng, degs = run.rng, run.degs
 
     dhat = _estimate_avg_degree(g, cfg.hj_probes, rng)
     alpha = cfg.hj_alpha if cfg.hj_alpha is not None else min(1.0, 1.0 / max(dhat, 1e-12))
@@ -634,7 +586,7 @@ def hybrid_jump_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     stall = 0
     while not run.full():
         if degs[v] == 0:   # parked on an isolated node (possible via restart)
-            v = run.restart(rng, positive_degree=True)
+            v = run.restart(positive_degree=True)
             continue
         w, accepted = _mh_propose(g, degs, v, rng)
         if cfg.record_steps:
@@ -656,9 +608,9 @@ def hybrid_jump_sample(g: Graph, cfg: SamplerConfig) -> Sample:
                 v = t
         stall = 0 if new else stall + 1
         if stall >= cfg.hj_stall_limit and not run.full():
-            v = run.restart(rng)
+            v = run.restart()
             stall = 0
-    return finalize(g, _raw_sample(run), cfg.finalize_mode)
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -684,15 +636,7 @@ def sample(g: Graph, cfg: SamplerConfig) -> Sample:
 
 def sample_subgraph(g: Graph, s: Sample) -> Graph:
     """Build the sample graph G_s = (V_s, E_s) with dense re-indexing."""
-    nodes = s.nodes
-    if len(s.edges):
-        u = np.searchsorted(nodes, s.edges[:, 0])
-        v = np.searchsorted(nodes, s.edges[:, 1])
-    else:
-        u = np.zeros(0, dtype=np.int64)
-        v = np.zeros(0, dtype=np.int64)
-    orig = g.orig_ids[nodes] if g.orig_ids is not None else nodes.copy()
-    return build_graph(u, v, n=len(nodes), orig_ids=orig)
+    return subgraph(g, s.nodes, s.edges)
 
 
 def replay_check(g: Graph, s: Sample) -> None:
@@ -730,7 +674,7 @@ def replay_check(g: Graph, s: Sample) -> None:
             _, u, v = ev
             if u not in known:
                 raise ValueError(f"jump source {u} unknown at its step")
-            if v not in set(int(x) for x in _jump_candidates(g, u, depth)):
+            if v not in _jump_candidates(g, u, depth):
                 raise ValueError(f"jump target {v} beyond depth {depth} of {u}")
             known.add(v)
             sampled.add(v)

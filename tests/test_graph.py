@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from graphsample.graph import (
     EdgeListParseError,
     EdgeListSource,
+    Graph,
     build_graph,
     dump_edge_list,
     induced_subgraph,
@@ -210,3 +211,22 @@ class TestLargestComponent:
         for c in comp:
             sizes[c] = sizes.get(c, 0) + 1
         assert len(lcc) == max(sizes.values())
+
+
+class TestRowsAndValidate:
+    def test_rows_match_neighbors(self):
+        g = random_graph(40, 0.15, seed=3)
+        nodes = np.array([5, 0, 39, 5, 17])
+        src, dst = g.rows(nodes)
+        assert src.tolist() == [int(v) for v in nodes for _ in g.neighbors(int(v))]
+        assert dst.tolist() == np.concatenate([g.neighbors(int(v)) for v in nodes]).tolist()
+
+    @pytest.mark.parametrize("indptr, indices, message", [
+        ([0, 2, 4, 6], [2, 1, 0, 2, 0, 1], "adjacency of 0 not strictly sorted"),
+        ([0, 2, 4, 6], [0, 1, 0, 2, 0, 1], "self-loop at 0"),
+        ([0, 1, 3, 4], [1, 0, 2, 0], "not symmetric"),
+    ])
+    def test_validate_rejects_broken_rows(self, indptr, indices, message):
+        g = Graph(indptr=np.array(indptr, dtype=np.int64), indices=np.array(indices, dtype=np.int32))
+        with pytest.raises(AssertionError, match=message):
+            validate(g)

@@ -182,9 +182,22 @@ class TestAggregate:
 
     def test_missing_cells_leave_gaps(self, tmp_path):
         res = run_experiment(tiny_config(tmp_path / "out"))
-        rows = [r for r in res.rows if not (r.property == "avg_degree" and r.phi == 0.05)]
-        tables = aggregate(rows, res.originals)
-        assert any("gap" in w or "undefined" in w for w in tables.warnings) or tables.rmse
+
+        def missing(rows):
+            tables = aggregate(rows, res.originals)
+            rmse_row = next(r for r in tables.rmse if r["property"] == "avg_degree")
+            return [w for w in tables.warnings if w.startswith("missing cell")], rmse_row["rmse"]
+
+        # one phi missing: RMSE runs over the other phi, but not silently
+        warned, value = missing([r for r in res.rows
+                                 if not (r.property == "avg_degree" and r.phi == 0.05)])
+        assert warned == ["missing cell: mm400/ls/phi=0.05/avg_degree"]
+        assert value is not None
+        # every phi missing: the rmse row is an explicit gap
+        warned, value = missing([r for r in res.rows if r.property != "avg_degree"])
+        assert warned == ["missing cell: mm400/ls/phi=0.05/avg_degree",
+                          "missing cell: mm400/ls/phi=0.1/avg_degree"]
+        assert value is None
 
 
 class TestConfig:

@@ -1,0 +1,60 @@
+"""Differential checks against networkx on small random graphs.
+
+networkx is a test-only reference; the module is skipped without it.
+Louvain is not compared: its modularity can fall below networkx's own
+Louvain by a few hundredths on these graphs.
+"""
+
+import numpy as np
+import pytest
+
+from graphsample.graph import induced_edges
+from graphsample.properties import assortativity, average_path_length, avg_clustering, global_clustering
+from graphsample.samplers import _jump_candidates
+
+from oracles import random_graph
+
+nx = pytest.importorskip("networkx")
+
+SEEDS = range(15)
+TOL = 1e-9
+
+
+def to_nx(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(map(tuple, g.edge_array().tolist()))
+    return G
+
+
+@pytest.fixture(params=SEEDS)
+def pair(request):
+    g = random_graph(60, 0.08, seed=request.param)
+    return request.param, g, to_nx(g)
+
+
+def test_induced_edges(pair):
+    seed, g, G = pair
+    rng = np.random.default_rng(seed)
+    for size in (1, 10, 30, 60):
+        nodes = np.sort(rng.choice(g.n, size=size, replace=False))
+        want = sorted(tuple(sorted(e)) for e in G.subgraph(nodes.tolist()).edges)
+        assert induced_edges(g, nodes).tolist() == [list(e) for e in want]
+
+
+def test_jump_candidates(pair):
+    _, g, G = pair
+    for v in range(0, g.n, 7):
+        for depth in (1, 2, 3):
+            ball = nx.single_source_shortest_path_length(G, v, cutoff=depth)
+            want = sorted(set(ball) - {v})
+            assert _jump_candidates(g, v, depth).tolist() == want
+
+
+def test_properties(pair):
+    _, g, G = pair
+    lcc = G.subgraph(max(nx.connected_components(G), key=len))
+    assert abs(global_clustering(g) - nx.transitivity(G)) <= TOL
+    assert abs(avg_clustering(g) - nx.average_clustering(G)) <= TOL
+    assert abs(assortativity(g) - nx.degree_assortativity_coefficient(G)) <= TOL
+    assert abs(average_path_length(g, mode="exact") - nx.average_shortest_path_length(lcc)) <= TOL

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -25,3 +26,14 @@ def test_cli_imports_only_public_names():
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("graphsample")):
             private += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert not private
+
+
+def test_traced_names_resolve():
+    """Every name the benchmark's tracer rebinds still exists in the package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{mod}.{attr}" for mod, attr, *_ in tracing.TARGETS
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert tracing.TARGETS and not missing
