@@ -311,10 +311,9 @@ def largest_connected_component(g: Graph) -> np.ndarray:
     sizes = np.bincount(labels, minlength=ncomp)
     best = int(sizes.max())
     candidates = np.flatnonzero(sizes == best)
-    # labels are assigned in scan order, so the first node carrying a candidate
-    # label is also that component's minimum id
-    first_seen = [int(np.flatnonzero(labels == c)[0]) for c in candidates]
-    winner = candidates[int(np.argmin(first_seen))]
+    # the first node carrying a label is that component's minimum id
+    first_seen = np.unique(labels, return_index=True)[1]
+    winner = candidates[int(np.argmin(first_seen[candidates]))]
     return np.flatnonzero(labels == winner).astype(np.int64)
 
 

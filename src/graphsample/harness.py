@@ -19,6 +19,7 @@ byte for byte; wall-clock data lives only in timings.csv and meta.json.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -217,6 +218,22 @@ def load_dataset(spec: DatasetSpec) -> Graph:
     return generate(spec.generator)
 
 
+@contextlib.contextmanager
+def _atomic_open(path: str | Path, newline: str | None = None):
+    """Open ``path`` for writing through a temp file that replaces it on success.
+
+    A killed run leaves the old file or none, never a truncated one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _graph_fingerprint(g: Graph) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(g.indptr).tobytes())
@@ -236,11 +253,9 @@ def _original_report(
         with open(path, "r", encoding="utf-8") as fh:
             return PropertyReport.from_dict(json.load(fh)), True
     rep = property_report(g, path_mode=cfg.path_mode, path_sources=cfg.path_sources, seed=seed)
-    # write then rename, so a killed run never leaves a truncated file that reads as a hit
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    # atomic, so a killed run never leaves a truncated file that reads as a hit
+    with _atomic_open(path) as fh:
         json.dump(rep.to_dict(), fh)
-    os.replace(tmp, path)
     return rep, False
 
 
@@ -327,7 +342,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         graphs[spec.name] = g
         rep, hit = _original_report(g, spec, cfg, out / "cache")
         originals[spec.name] = rep
-        with open(out / "originals" / f"{spec.name}.json", "w", encoding="utf-8") as fh:
+        with _atomic_open(out / "originals" / f"{spec.name}.json") as fh:
             json.dump(rep.to_dict(), fh)
         dataset_meta[spec.name] = {
             "n": g.n,
@@ -402,7 +417,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
         "elapsed_seconds": round(time.time() - started, 3),
     }
-    with open(out / "meta.json", "w", encoding="utf-8") as fh:
+    with _atomic_open(out / "meta.json") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
 
     return ExperimentResult(config=cfg, rows=rows, originals=originals, tables=tables,
@@ -573,7 +588,7 @@ def read_raw(path: str | Path) -> list[ReportRow]:
 
 
 def _write_dicts(path: Path, rows: list[dict], columns: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(columns)
         for r in rows:
@@ -595,7 +610,7 @@ def write_tables(out: Path, tables: Tables, method_labels: Sequence[str]) -> Non
 def write_distribution_csv(path: Path, dist: Distribution) -> None:
     """Write one distribution as support,pmf,ecdf rows."""
     ecdf = dist.ecdf()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["support", "pmf", "ecdf"])
         for s, p, e in zip(dist.support.tolist(), dist.pmf.tolist(), ecdf.tolist()):
@@ -638,7 +653,7 @@ def _write_cell_distributions(
             str(rep): {kind: d[kind].to_dict() for kind in DISTRIBUTION_KINDS}
             for rep, d in sorted(reps.items())
         }
-        with open(cell_dir / f"{ds}.{method}.json", "w", encoding="utf-8") as fh:
+        with _atomic_open(cell_dir / f"{ds}.{method}.json") as fh:
             json.dump(payload, fh)
 
 

@@ -546,16 +546,23 @@ def _mh_propose(g: Graph, degs: np.ndarray, v: int, rng: np.random.Generator) ->
 
 
 def _jump_candidates(g: Graph, v: int, depth: int) -> np.ndarray:
-    """Sorted unique nodes within ``depth`` hops of v, excluding v itself."""
-    seen = np.zeros(g.n, dtype=bool)
-    seen[v] = True
-    frontier = np.array([v], dtype=np.int64)
+    """Sorted unique nodes within ``depth`` hops of v, excluding v itself.
+
+    The ball so far is one sorted array, so a jump costs O(ball), not O(n).
+    Duplicates go by sort and adjacent compare, which is several times
+    faster here than ``np.unique``.
+    """
+    ball = np.array([v], dtype=np.int64)
+    frontier = ball
     for _ in range(depth):
         _, dst = g.rows(frontier)
-        frontier = np.unique(dst[~seen[dst]])
-        seen[frontier] = True
-    seen[v] = False
-    return np.flatnonzero(seen)
+        dst = np.sort(dst)
+        at = np.minimum(np.searchsorted(ball, dst), len(ball) - 1)
+        keep = ball[at] != dst
+        keep[1:] &= dst[1:] != dst[:-1]
+        frontier = dst[keep]
+        ball = np.sort(np.concatenate([ball, frontier]))
+    return ball[ball != v]
 
 
 def hybrid_jump_sample(g: Graph, cfg: SamplerConfig) -> Sample:

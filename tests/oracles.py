@@ -213,3 +213,26 @@ def edge_set_oracle(lines: list[str]) -> set[frozenset[int]]:
         if a != b:
             out.add(frozenset((a, b)))
     return out
+
+
+def dijkstra_path_oracle(g: Graph, mode: str, sources: int = 256, seed: int = 0) -> tuple[float, np.ndarray]:
+    """(mean, hop histogram) over the largest component by scipy's dijkstra.
+
+    Expects a unique largest component. The LCC is found by union-find and
+    its nodes kept in ascending id order; ``sampled`` draws the sources as
+    ``path_length_stats`` does. hist[h] counts ordered pairs h >= 1 hops apart.
+    """
+    from scipy.sparse import csgraph, csr_matrix
+
+    comp = np.asarray(union_find_components(g))
+    labels, sizes = np.unique(comp, return_counts=True)
+    nodes = np.flatnonzero(comp == labels[np.argmax(sizes)])
+    a = csr_matrix(adjacency_matrix(g)[np.ix_(nodes, nodes)])
+    if mode == "exact":
+        src = np.arange(len(nodes))
+    else:
+        rng = np.random.default_rng(seed)
+        src = np.sort(rng.choice(len(nodes), size=min(sources, len(nodes)), replace=False))
+    d = csgraph.dijkstra(a, directed=False, unweighted=True, indices=src)
+    d = d[np.isfinite(d) & (d > 0)].astype(np.int64)
+    return float(d.sum()) / len(d), np.bincount(d)

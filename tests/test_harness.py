@@ -71,6 +71,20 @@ class TestRunExperiment:
                 by_rep[row.rep] = row.value
         assert by_rep[0] != by_rep[1]
 
+    def test_bundle_writes_are_atomic(self, tmp_path):
+        class Killed(dict):
+            def get(self, *args):
+                raise RuntimeError("killed mid-write")
+
+        res = run_experiment(tiny_config(tmp_path / "out"))
+        assert not list(res.output_dir.rglob("*.tmp"))
+        raw = res.output_dir / "raw.csv"
+        before = raw.read_bytes()
+        with pytest.raises(RuntimeError):
+            harness._write_dicts(raw, [{"value": 1.0}, Killed()], ["value"])
+        assert raw.read_bytes() == before
+        assert not list(res.output_dir.glob("*.tmp"))
+
     def test_reproducible_bytes(self, tmp_path):
         cfg1 = tiny_config(tmp_path / "a")
         cfg2 = tiny_config(tmp_path / "b")

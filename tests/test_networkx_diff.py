@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from graphsample.graph import induced_edges
-from graphsample.properties import assortativity, average_path_length, avg_clustering, global_clustering
+from graphsample.properties import (
+    assortativity,
+    average_path_length,
+    avg_clustering,
+    global_clustering,
+    path_length_stats,
+)
 from graphsample.samplers import _jump_candidates
 
 from oracles import random_graph
@@ -58,3 +64,13 @@ def test_properties(pair):
     assert abs(avg_clustering(g) - nx.average_clustering(G)) <= TOL
     assert abs(assortativity(g) - nx.degree_assortativity_coefficient(G)) <= TOL
     assert abs(average_path_length(g, mode="exact") - nx.average_shortest_path_length(lcc)) <= TOL
+
+
+def test_path_length_pmf(pair):
+    _, g, G = pair
+    lcc = G.subgraph(max(nx.connected_components(G), key=len))
+    hops = [d for _, row in nx.all_pairs_shortest_path_length(lcc) for d in row.values() if d > 0]
+    support, counts = np.unique(hops, return_counts=True)
+    _, dist, _ = path_length_stats(g, mode="exact")
+    assert dist.support.tolist() == support.tolist()
+    assert np.array_equal(dist.pmf, counts / counts.sum())
