@@ -37,7 +37,7 @@ from . import __version__ as _pkg_version
 from .generators import GeneratorConfig, generate
 from .graph import Graph, load_edge_list
 from .metrics import RATIO_SHIFTS, confidence_interval_95, jsd, rmse, scaling_ratio
-from .properties import Distribution, PropertyReport, property_report
+from .properties import REPORT_VERSION, Distribution, PropertyReport, property_report
 from .samplers import Sample, SamplerConfig, sample, sample_subgraph
 
 __all__ = [
@@ -246,8 +246,9 @@ def _original_report(
 ) -> tuple[PropertyReport, bool]:
     """Compute or fetch the cached original-graph report. Returns (report, hit)."""
     seed = derive_seed(cfg.master_seed, spec.name, "original")
-    # the package version keys the cache so a changed property kernel never reuses old reports
-    key = _graph_fingerprint(g) + f"-{cfg.path_mode}-{cfg.path_sources}-{seed}-{_pkg_version}"
+    # the package and report versions key the cache so a changed property kernel never reuses old reports
+    key = (_graph_fingerprint(g) + f"-{cfg.path_mode}-{cfg.path_sources}-{seed}"
+           f"-{_pkg_version}-r{REPORT_VERSION}")
     path = cache_dir / f"{spec.name}.{hashlib.sha256(key.encode()).hexdigest()[:16]}.json"
     if path.exists():
         with open(path, "r", encoding="utf-8") as fh:

@@ -20,6 +20,7 @@ __all__ = [
     "CC_BINS",
     "Distribution",
     "PropertyReport",
+    "REPORT_VERSION",
     "assortativity",
     "average_degree",
     "avg_clustering",
@@ -37,6 +38,8 @@ __all__ = [
 CC_BINS = 100           # uniform bins on [0, 1] for the clustering distribution
 EXACT_PATH_LIMIT = 5000  # LCC size up to which all-pairs BFS is used
 BFS_BUDGET = 16_000_000  # uint64 words in one BFS level's neighbour gather
+# Keys the originals cache: bump it with any change that alters a report value.
+REPORT_VERSION = 1
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 Everything here deliberately avoids the library's own algorithms:
 dense-matrix triple products, Floyd-Warshall, union-find, direct
 summation of definitions. Slow on purpose, trusted by inspection.
+``louvain_oracle`` is the earlier dict-of-dicts Louvain, kept verbatim
+as the reference partition for the CSR implementation.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 
 import numpy as np
 
+from graphsample.community import modularity
 from graphsample.graph import Graph, build_graph
 
 
@@ -185,6 +188,121 @@ def modularity_oracle(g: Graph, labels: np.ndarray) -> float:
     b = a - np.outer(k, k) / (2.0 * m)
     same = labels[:, None] == labels[None, :]
     return float((b * same).sum() / (2.0 * m))
+
+
+def louvain_oracle(g: Graph, seed: int = 0) -> np.ndarray:
+    """The dict-of-dicts Louvain that ``detect_communities`` replaced.
+
+    Kept verbatim as the reference for identical partitions: same seeded
+    ``rng.permutation`` per sweep, 100-sweep cap, ascending-id tie-break
+    and 1e-12 gain threshold, adjacency as one dict per node.
+    """
+    if g.m == 0:
+        raise ValueError("community detection needs at least one edge")
+    rng = np.random.default_rng(seed)
+
+    # current level: symmetric weighted adjacency dicts plus self-loop weights
+    n = g.n
+    adj: list[dict[int, float]] = [dict() for _ in range(n)]
+    for u, v in g.edge_array():
+        adj[u][int(v)] = adj[u].get(int(v), 0.0) + 1.0
+        adj[v][int(u)] = adj[v].get(int(u), 0.0) + 1.0
+    loops = np.zeros(n, dtype=np.float64)
+    membership = np.arange(n, dtype=np.int64)   # original node -> current-level node
+    total_weight = float(g.m)
+
+    while True:
+        labels, improved = _louvain_one_level(adj, loops, total_weight, rng)
+        dense = _louvain_dense_labels(labels)
+        membership = dense[membership]
+        if not improved:
+            break
+        adj, loops = _louvain_aggregate(adj, loops, dense)
+        if len(adj) <= 1:
+            break
+
+    out = _louvain_dense_labels(membership)
+    # the Q < 0 fallback scores with the library's modularity, as the old code did
+    if modularity(g, out) < 0.0:
+        out = np.zeros(g.n, dtype=np.int64)
+    return out
+
+
+def _louvain_dense_labels(labels: np.ndarray) -> np.ndarray:
+    """Relabel to [0, k) in order of first appearance."""
+    remap: dict[int, int] = {}
+    out = np.empty(len(labels), dtype=np.int64)
+    for i, c in enumerate(labels):
+        c = int(c)
+        if c not in remap:
+            remap[c] = len(remap)
+        out[i] = remap[c]
+    return out
+
+
+def _louvain_one_level(
+    adj: list[dict[int, float]],
+    loops: np.ndarray,
+    total_weight: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, bool]:
+    """Local node moving; returns (community per node, whether any move happened)."""
+    n = len(adj)
+    node_deg = np.array([sum(nb.values()) for nb in adj], dtype=np.float64) + 2.0 * loops
+    comm = np.arange(n, dtype=np.int64)
+    comm_tot = node_deg.copy()
+    m2 = 2.0 * total_weight
+
+    improved = False
+    moved = True
+    sweeps = 0
+    while moved and sweeps < 100:
+        moved = False
+        sweeps += 1
+        for v in rng.permutation(n):
+            v = int(v)
+            cur = int(comm[v])
+            link: dict[int, float] = {}
+            for w, wt in adj[v].items():
+                c = int(comm[w])
+                link[c] = link.get(c, 0.0) + wt
+            comm_tot[cur] -= node_deg[v]
+            base = link.get(cur, 0.0) - comm_tot[cur] * node_deg[v] / m2
+            best_c, best_gain = cur, 0.0
+            for c in sorted(link):
+                if c == cur:
+                    continue
+                gain = link[c] - comm_tot[c] * node_deg[v] / m2 - base
+                if gain > best_gain + 1e-12:
+                    best_c, best_gain = c, gain
+            comm[v] = best_c
+            comm_tot[best_c] += node_deg[v]
+            if best_c != cur:
+                moved = True
+                improved = True
+    return comm, improved
+
+
+def _louvain_aggregate(
+    adj: list[dict[int, float]],
+    loops: np.ndarray,
+    dense: np.ndarray,
+) -> tuple[list[dict[int, float]], np.ndarray]:
+    """Collapse communities into super-nodes; intra weight becomes loop weight."""
+    k = int(dense.max()) + 1
+    new_adj: list[dict[int, float]] = [dict() for _ in range(k)]
+    new_loops = np.zeros(k, dtype=np.float64)
+    for v, nb in enumerate(adj):
+        cv = int(dense[v])
+        new_loops[cv] += loops[v]
+        for w, wt in nb.items():
+            cw = int(dense[w])
+            if cv == cw:
+                if v < w:   # count each intra-community edge once
+                    new_loops[cv] += wt
+            else:
+                new_adj[cv][cw] = new_adj[cv].get(cw, 0.0) + wt
+    return new_adj, new_loops
 
 
 def jsd_oracle(p: dict, q: dict, base: float = 2.0) -> float:

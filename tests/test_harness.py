@@ -114,6 +114,17 @@ class TestRunExperiment:
         assert meta["datasets"]["mm400"]["original_cache_hit"] is False
         assert not list((res.output_dir / "cache").glob("*.tmp"))
 
+    def test_original_cache_keyed_by_report_version(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "out", phis=(0.1,), repetitions=1)
+        run_experiment(cfg)
+        monkeypatch.setattr(harness, "REPORT_VERSION", harness.REPORT_VERSION + 1)
+        res = run_experiment(cfg)
+        meta = json.loads((res.output_dir / "meta.json").read_text())
+        assert meta["datasets"]["mm400"]["original_cache_hit"] is False
+        res = run_experiment(cfg)
+        meta = json.loads((res.output_dir / "meta.json").read_text())
+        assert meta["datasets"]["mm400"]["original_cache_hit"] is True
+
     def test_dataset_failure_is_isolated(self, tmp_path):
         cfg = tiny_config(
             tmp_path / "out",

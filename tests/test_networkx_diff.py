@@ -1,13 +1,16 @@
 """Differential checks against networkx on small random graphs.
 
 networkx is a test-only reference; the module is skipped without it.
-Louvain is not compared: its modularity can fall below networkx's own
-Louvain by a few hundredths on these graphs.
+Modularity is checked on our own Louvain partition. The partition itself
+is not compared with networkx's Louvain: ours is pinned to its seeded
+visiting order and tie-breaks, and its Q can fall a few hundredths below
+``louvain_communities`` on these graphs.
 """
 
 import numpy as np
 import pytest
 
+from graphsample.community import detect_communities, modularity
 from graphsample.graph import induced_edges
 from graphsample.properties import (
     assortativity,
@@ -74,3 +77,10 @@ def test_path_length_pmf(pair):
     _, dist, _ = path_length_stats(g, mode="exact")
     assert dist.support.tolist() == support.tolist()
     assert np.array_equal(dist.pmf, counts / counts.sum())
+
+
+def test_modularity(pair):
+    seed, g, G = pair
+    labels = detect_communities(g, seed=seed)
+    parts = [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
+    assert abs(modularity(g, labels) - nx.community.modularity(G, parts)) <= TOL
