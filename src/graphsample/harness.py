@@ -128,6 +128,8 @@ class ExperimentConfig:
         for phi in self.phis:
             if not 0.0 < phi <= 1.0:
                 raise ValueError("phis must lie in (0, 1]")
+        if len(set(self.phis)) != len(self.phis):
+            raise ValueError("phis must be unique")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.distribution_phi is not None and self.distribution_phi not in self.phis:

@@ -27,7 +27,6 @@ __all__ = [
     "clustering_distribution",
     "degree_distribution",
     "global_clustering",
-    "local_clustering",
     "local_clustering_all",
     "path_length_stats",
     "average_path_length",
@@ -187,18 +186,6 @@ def triangle_edge_counts(g: Graph) -> np.ndarray:
         paths = (block @ a).multiply(block)   # common-neighbor counts on edges
         out[start:stop] = np.asarray(paths.sum(axis=1)).ravel() // 2
     return out
-
-
-def local_clustering(g: Graph, v: int) -> float:
-    """2 e_v / (d_v (d_v - 1)); zero when the degree is below 2."""
-    nb = g.neighbors(v)
-    d = len(nb)
-    if d < 2:
-        return 0.0
-    twice_e = 0
-    for w in nb:
-        twice_e += np.intersect1d(nb, g.neighbors(int(w)), assume_unique=True).size
-    return twice_e / (d * (d - 1.0))
 
 
 def _clustering(g: Graph, tri: np.ndarray) -> tuple[np.ndarray, float]:

@@ -77,6 +77,8 @@ class SamplerConfig:
                 raise ValueError("fs_walkers must be >= 1")
             if self.fs_walkers > n:
                 raise ValueError("fs_walkers cannot exceed the node count")
+            if self.fs_stall_limit < 1:
+                raise ValueError("fs_stall_limit must be >= 1")
         if self.method == "xs" and self.xs_seed_rule not in ("uniform", "max_degree"):
             raise ValueError(f"unknown xs_seed_rule {self.xs_seed_rule!r}")
         if self.method == "ls" and self.ls_rule not in ("uniform", "max_degree"):
@@ -93,6 +95,8 @@ class SamplerConfig:
                 raise ValueError("hj_probes must be >= 1")
             if self.hj_bfs_depth < 1:
                 raise ValueError("hj_bfs_depth must be >= 1")
+            if self.hj_stall_limit < 1:
+                raise ValueError("hj_stall_limit must be >= 1")
 
 
 @dataclass
@@ -110,7 +114,6 @@ class Telemetry:
     teleports: int = 0
     jumps: int = 0
     trims: int = 0
-    truncated: bool = False
     params: dict = field(default_factory=dict)
     visit_order: list[int] = field(default_factory=list)
     events: list[tuple] = field(default_factory=list)
@@ -350,42 +353,38 @@ def expansion_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     maximizer of the expansion factor |N(S)| / |S|. Ties break to the
     smallest id. An exhausted component triggers a restart from a uniform
     unsampled seed.
+
+    A frontier node's score only falls and it leaves the frontier only by
+    being sampled, so a stale heap entry never becomes valid again: the
+    pop order is that of a heap holding one entry per frontier node.
     """
     run = _Run(g, cfg)
+    degs = run.degs
     run.tel.params = {"xs_seed_rule": cfg.xs_seed_rule}
 
     covered = np.zeros(g.n, dtype=bool)     # membership in S union N(S)
     in_frontier = np.zeros(g.n, dtype=bool)
-    score = np.zeros(g.n, dtype=np.int64)
-    heap: list[tuple[int, int]] = []
-
-    def cover(w: int) -> None:
-        covered[w] = True
-        for x in g.neighbors(w):
-            if in_frontier[x]:
-                score[x] -= 1
-                heapq.heappush(heap, (-int(score[x]), int(x)))
+    ncov = np.zeros(g.n, dtype=np.int64)    # covered neighbours; a frontier node scores deg - ncov
+    heap: list[tuple[int, int]] = []        # (ncov - deg, id); an entry is stale once ncov rose
 
     def absorb(v: int) -> None:
         """Move v into S and refresh frontier bookkeeping."""
         in_frontier[v] = False
-        if not covered[v]:
-            cover(v)
         nbrs = g.neighbors(v)
-        for w in nbrs:
-            if not covered[w]:
-                cover(int(w))
-        for w in nbrs:
-            w = int(w)
-            if not run.sampled[w] and not in_frontier[w]:
-                in_frontier[w] = True
-                nb = g.neighbors(w)
-                score[w] = int(len(nb) - covered[nb].sum())
-                heapq.heappush(heap, (-int(score[w]), w))
+        ball = np.append(nbrs, v)
+        fresh = ball[~covered[ball]]
+        covered[fresh] = True
+        _, touched = g.rows(fresh)
+        np.add.at(ncov, touched, 1)
+        new = nbrs[~run.sampled[nbrs] & ~in_frontier[nbrs]]
+        in_frontier[new] = True
+        push = np.unique(np.concatenate([touched[in_frontier[touched]], new]))
+        for key, x in zip((ncov[push] - degs[push]).tolist(), push.tolist()):
+            heapq.heappush(heap, (key, x))
 
     def seed_node() -> int:
         if cfg.xs_seed_rule == "max_degree" and run.count == 0:
-            return int(np.lexsort((np.arange(g.n), -run.degs))[0])
+            return int(np.lexsort((np.arange(g.n), -degs))[0])
         return run.uniform_unsampled()
 
     v0 = seed_node()
@@ -397,7 +396,7 @@ def expansion_sample(g: Graph, cfg: SamplerConfig) -> Sample:
         best = -1
         while heap:
             negscore, v = heapq.heappop(heap)
-            if in_frontier[v] and not run.sampled[v] and score[v] == -negscore:
+            if in_frontier[v] and ncov[v] - degs[v] == negscore:
                 best = v
                 break
         if best < 0:
@@ -458,7 +457,7 @@ def rank_degree_sample(g: Graph, cfg: SamplerConfig) -> Sample:
 
 
 # ---------------------------------------------------------------------------
-# List sampling (LS2 reading: max-degree candidate first)
+# List sampling (uniform draw from the candidate list by default)
 
 
 def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:

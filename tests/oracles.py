@@ -305,6 +305,33 @@ def _louvain_aggregate(
     return new_adj, new_loops
 
 
+def expansion_order_oracle(g: Graph, budget: int, seed: int, rule: str = "uniform") -> list[int]:
+    """XS visit order from the definition, with no heap and no running counts.
+
+    Each step recounts, for every node of N(S) minus S, its neighbours
+    outside S union N(S), and takes the largest count, smallest id on
+    ties. An empty frontier takes a uniform unsampled node, drawn the way
+    the sampler draws it (the max-degree rule picks the first seed only).
+    """
+    rng = np.random.default_rng(seed)
+    nbrs = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+    order: list[int] = []
+    sampled: set[int] = set()
+    while len(order) < budget:
+        covered = sampled.union(*(nbrs[v] for v in sampled))
+        frontier = covered - sampled
+        if frontier:
+            v = min(frontier, key=lambda w: (-len(nbrs[w] - covered), w))
+        elif rule == "max_degree" and not order:
+            v = min(range(g.n), key=lambda w: (-len(nbrs[w]), w))
+        else:
+            pool = [w for w in range(g.n) if w not in sampled]
+            v = pool[int(rng.integers(len(pool)))]
+        order.append(v)
+        sampled.add(v)
+    return order
+
+
 def jsd_oracle(p: dict, q: dict, base: float = 2.0) -> float:
     """Term-by-term evaluation over dict pmfs."""
     support = sorted(set(p) | set(q))

@@ -280,6 +280,9 @@ class TestConfig:
         cfg = tiny_config(tmp_path / "o", phis=(0.5, 2.0))
         with pytest.raises(ValueError):
             cfg.validate()
+        cfg = tiny_config(tmp_path / "o", phis=(0.1, 0.1))   # would run every cell twice
+        with pytest.raises(ValueError, match="unique"):
+            cfg.validate()
         cfg = tiny_config(tmp_path / "o", samplers=(
             SamplerConfig(method="ls"), SamplerConfig(method="ls")))
         with pytest.raises(ValueError, match="label"):

@@ -14,7 +14,6 @@ from graphsample.properties import (
     clustering_distribution,
     degree_distribution,
     global_clustering,
-    local_clustering,
     local_clustering_all,
     path_length_stats,
     property_report,
@@ -71,8 +70,8 @@ class TestDegreeDistribution:
 
 class TestClustering:
     def test_k3_and_star(self):
-        assert local_clustering(complete_graph(3), 0) == 1.0
-        assert local_clustering(star(8), 0) == 0.0
+        assert local_clustering_all(complete_graph(3))[0] == 1.0
+        assert local_clustering_all(star(8))[0] == 0.0
         assert avg_clustering(complete_graph(3)) == 1.0
 
     def test_triangle_counts_vs_dense_oracle(self):
@@ -85,8 +84,6 @@ class TestClustering:
         got = local_clustering_all(g)
         expected = local_clustering_oracle(g)
         assert np.max(np.abs(got - expected)) < 1e-12
-        for v in (0, 7, 29):
-            assert local_clustering(g, v) == pytest.approx(expected[v], abs=1e-12)
 
     def test_distribution_bins(self):
         d = clustering_distribution(random_graph(40, 0.3, seed=1))

@@ -20,7 +20,15 @@ from graphsample.samplers import (
     sample_subgraph,
 )
 
-from oracles import barbell_two_k5, complete_graph, cycle, random_graph, star, three_k10_chain
+from oracles import (
+    barbell_two_k5,
+    complete_graph,
+    cycle,
+    expansion_order_oracle,
+    random_graph,
+    star,
+    three_k10_chain,
+)
 
 
 def run_with_first_node(fn, g, make_cfg, first, tries=400):
@@ -92,6 +100,20 @@ class TestExpansionSampling:
         g = star(10)
         smp = expansion_sample(g, SamplerConfig("xs", phi=0.2, seed=0, xs_seed_rule="max_degree"))
         assert smp.telemetry.visit_order[0] == 0
+
+    @pytest.mark.parametrize("rule", ["uniform", "max_degree"])
+    def test_visit_order_vs_definition_oracle(self, rule):
+        restarts = 0
+        for case in range(12):
+            # sparse cases leave isolated nodes and small components, so XS restarts
+            g = random_graph(40 + 5 * case, (0.02, 0.05, 0.15)[case % 3], seed=case)
+            for seed in range(3):
+                cfg = SamplerConfig("xs", phi=0.9, seed=seed, xs_seed_rule=rule)
+                smp = expansion_sample(g, cfg)
+                expected = expansion_order_oracle(g, node_budget(0.9, g.n), seed, rule)
+                assert smp.telemetry.visit_order == expected, (case, seed)
+                restarts += smp.telemetry.restarts
+        assert restarts > 0
 
 
 class TestRankDegree:
@@ -301,9 +323,12 @@ class TestUniversalContracts:
         dict(method="fs", phi=0.0),
         dict(method="fs", phi=1.2),
         dict(method="fs", phi=0.001),   # phi * n < 1 on the battery graphs
+        dict(method="fs", fs_stall_limit=0),     # a walk that teleports after every step
+        dict(method="fs", fs_stall_limit=-5),
         dict(method="rd", rd_rho=0.0),
         dict(method="rd", rd_seeds=0),
         dict(method="hj", hj_alpha=1.5),
+        dict(method="hj", hj_stall_limit=0),
         dict(method="xs", xs_seed_rule="weird"),
         dict(method="ls", finalize_mode="nope"),
     ])
