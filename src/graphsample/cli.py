@@ -160,7 +160,7 @@ def _cmd_properties(args) -> int:
         out = Path(args.dist_dir)
         out.mkdir(parents=True, exist_ok=True)
         stem = Path(args.input).stem
-        for kind, dist in rep.distributions().items():
+        for kind, dist in rep.distributions.items():
             write_distribution_csv(out / f"{stem}.{kind}.dist.csv", dist)
     return 0
 

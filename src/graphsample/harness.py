@@ -7,11 +7,16 @@ from the master seed, and writes a machine-readable report bundle:
     raw.csv          dataset,method,phi,rep,property,value
     point_stats.csv  scaling-ratio means with 95% CI half-widths
     rmse.csv         per (dataset, method, property)
-    jsd.csv          per (dataset, method, distribution) at the ECDF phi
+    jsd.csv          per (dataset, method, distribution) at the lowest phi
     summary.csv      per-method averages across datasets
     dists/           per-distribution support,pmf,ecdf files
+    dists/cells/     per-repetition distributions of each (dataset, method)
+    originals/       the original-graph property reports
+    errors.csv       dataset,method,phi,rep,stage,message; only if a cell failed
     timings.csv      per-cell wall times (kept out of the deterministic set)
     meta.json        config echo, versions, timestamps, warnings
+    cache/           original reports, keyed by graph, path settings, seed,
+                     package version and report version
 
 Identical configs (including the master seed) reproduce every CSV
 byte for byte; wall-clock data lives only in timings.csv and meta.json.
@@ -36,8 +41,9 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .generators import GeneratorConfig, generate
 from .graph import Graph, load_edge_list
-from .metrics import RATIO_SHIFTS, confidence_interval_95, jsd, rmse, scaling_ratio
-from .properties import REPORT_VERSION, Distribution, PropertyReport, property_report
+from .metrics import RATIO_SHIFTS, align_supports, confidence_interval_95, jsd, rmse, scaling_ratio
+from .properties import (DISTRIBUTIONS as DISTRIBUTION_KINDS, PATH_MODES, REPORT_VERSION,
+                         SCALARS as PROPERTY_ORDER, Distribution, PropertyReport, property_report)
 from .samplers import Sample, SamplerConfig, sample, sample_subgraph
 
 __all__ = [
@@ -57,17 +63,6 @@ __all__ = [
     "write_distribution_csv",
     "write_tables",
 ]
-
-PROPERTY_ORDER = (
-    "avg_degree",
-    "avg_clustering",
-    "avg_path_length",
-    "global_clustering",
-    "assortativity",
-    "modularity",
-)
-DISTRIBUTION_KINDS = ("degree", "clustering", "path_length")
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -106,7 +101,6 @@ class ExperimentConfig:
     master_seed: int = 0
     path_mode: str = "auto"
     path_sources: int = 256
-    distribution_phi: float | None = None   # default: min(phis)
     output_dir: str = "bench_out"
     workers: int = 1
 
@@ -132,14 +126,12 @@ class ExperimentConfig:
             raise ValueError("phis must be unique")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.distribution_phi is not None and self.distribution_phi not in self.phis:
-            raise ValueError("distribution_phi must be one of the configured phis")
+        if self.path_mode not in PATH_MODES:
+            raise ValueError(f"path_mode must be one of {PATH_MODES}")
+        if self.path_sources < 1:
+            raise ValueError("path_sources must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-    @property
-    def ecdf_phi(self) -> float:
-        return self.distribution_phi if self.distribution_phi is not None else min(self.phis)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -263,21 +255,11 @@ def _original_report(
 
 
 # ---------------------------------------------------------------------------
-# Cell execution. Graphs are staged in a module global before forking so
-# pool workers inherit them copy-on-write.
+# Cell execution. The config and graphs are staged in a module global before
+# forking so pool workers inherit them copy-on-write; a job is only a cell's
+# coordinates (dataset, sampler, phi, rep).
 
-_CELL_GRAPHS: dict[str, Graph] = {}
-
-
-@dataclass
-class _CellJob:
-    dataset: str
-    sampler: SamplerConfig    # phi and seed already substituted
-    rep: int
-    keep_distributions: bool
-    path_mode: str
-    path_sources: int
-    prop_seed: int
+_SWEEP: tuple[ExperimentConfig, dict[str, Graph]] | None = None
 
 
 @dataclass
@@ -290,28 +272,32 @@ class _CellResult:
     stage: str | None = None
 
 
-def _run_cell(job: _CellJob) -> _CellResult:
-    g = _CELL_GRAPHS[job.dataset]
+def _run_cell(job: tuple[str, SamplerConfig, float, int]) -> _CellResult:
+    cfg, graphs = _SWEEP
+    ds, scfg, phi, rep_i = job
+    seed = derive_seed(cfg.master_seed, ds, scfg.label, phi, rep_i)
+    scfg = dataclasses.replace(scfg, phi=phi, seed=seed, record_steps=False)
+    g = graphs[ds]
     t0 = time.perf_counter()
     try:
-        smp = sample(g, job.sampler)
+        smp = sample(g, scfg)
     except Exception as exc:  # recorded, not fatal to the sweep
         return _CellResult(None, None, 0.0, 0.0,
                            error=f"{type(exc).__name__}: {exc}", stage="sample")
     t1 = time.perf_counter()
     try:
         sg = sample_subgraph(g, smp)
-        rep = property_report(sg, path_mode=job.path_mode,
-                              path_sources=job.path_sources, seed=job.prop_seed)
+        rep = property_report(sg, path_mode=cfg.path_mode, path_sources=cfg.path_sources,
+                              seed=derive_seed(cfg.master_seed, ds, scfg.label, phi, rep_i, "props"))
     except Exception as exc:
         return _CellResult(None, None, t1 - t0, 0.0,
                            error=f"{type(exc).__name__}: {exc}", stage="properties")
     t2 = time.perf_counter()
-    dists = rep.distributions() if job.keep_distributions else None
-    return _CellResult(rep.scalars(), dists, t1 - t0, t2 - t1)
+    dists = rep.distributions if phi == min(cfg.phis) else None
+    return _CellResult(rep.scalars, dists, t1 - t0, t2 - t1)
 
 
-def _execute_cells(jobs: list[_CellJob], workers: int) -> list[_CellResult]:
+def _execute_cells(jobs: list[tuple], workers: int) -> list[_CellResult]:
     if workers <= 1 or len(jobs) <= 1:
         return [_run_cell(j) for j in jobs]
     ctx = multiprocessing.get_context("fork")
@@ -355,33 +341,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "load_stats": dataclasses.asdict(g.load_stats) if g.load_stats else None,
         }
 
-    _CELL_GRAPHS.clear()
-    _CELL_GRAPHS.update(graphs)
-
-    active = [spec for spec in cfg.datasets if spec.name in graphs]
-    jobs: list[_CellJob] = []
-    for spec in active:
-        for scfg in cfg.samplers:
-            for phi in cfg.phis:
-                for rep_i in range(cfg.repetitions):
-                    seed = derive_seed(cfg.master_seed, spec.name, scfg.label, phi, rep_i)
-                    prop_seed = derive_seed(cfg.master_seed, spec.name, scfg.label, phi, rep_i, "props")
-                    jobs.append(_CellJob(
-                        dataset=spec.name,
-                        sampler=dataclasses.replace(scfg, phi=phi, seed=seed, record_steps=False),
-                        rep=rep_i,
-                        keep_distributions=(phi == cfg.ecdf_phi),
-                        path_mode=cfg.path_mode,
-                        path_sources=cfg.path_sources,
-                        prop_seed=prop_seed,
-                    ))
+    global _SWEEP
+    _SWEEP = (cfg, graphs)
+    jobs = [(ds, scfg, phi, rep_i) for ds in graphs for scfg in cfg.samplers
+            for phi in cfg.phis for rep_i in range(cfg.repetitions)]
 
     rows: list[ReportRow] = []
     errors: list[dict] = []
     timings: list[dict] = []
     cell_dists: dict[tuple[str, str], dict[int, dict[str, Distribution]]] = {}
-    for job, res in zip(jobs, _execute_cells(jobs, cfg.workers)):
-        ds, label, phi, rep_i = job.dataset, job.sampler.label, job.sampler.phi, job.rep
+    for (ds, scfg, phi, rep_i), res in zip(jobs, _execute_cells(jobs, cfg.workers)):
+        label = scfg.label
         timings.append({
             "dataset": ds, "method": label, "phi": phi, "rep": rep_i,
             "sample_seconds": round(res.sample_seconds, 6),
@@ -477,8 +447,7 @@ def aggregate(
         if orig is None:
             warnings.append(f"point_stats: no original report for {ds}")
             continue
-        truth = orig.scalars()
-        odists = orig.distributions() if cell_dists else {}
+        truth = orig.scalars
         for method in methods_seen:
             at = {"dataset": ds, "method": method}
             for phi in phis_seen:
@@ -537,7 +506,7 @@ def aggregate(
                 continue
             by_rep = cell_dists.get((ds, method), {})
             for kind in DISTRIBUTION_KINDS:
-                vals = [jsd(d[kind], odists[kind]) for _, d in sorted(by_rep.items())]
+                vals = [jsd(d[kind], orig.distributions[kind]) for _, d in sorted(by_rep.items())]
                 row = {**at, "distribution": kind, "jsd_mean": None, "jsd_std": None}
                 jsd_rows.append(row)
                 if not vals:
@@ -621,12 +590,10 @@ def write_distribution_csv(path: Path, dist: Distribution) -> None:
 
 
 def _mean_distribution(dists: Sequence[Distribution]) -> Distribution:
-    support = dists[0].support
-    for d in dists[1:]:
-        support = np.union1d(support, d.support)
+    support, pmfs = align_supports(*dists)
     acc = np.zeros(len(support), dtype=np.float64)
-    for d in dists:
-        acc[np.searchsorted(support, d.support)] += d.pmf
+    for row in pmfs:   # in repetition order: pmfs.sum(axis=0) may round differently
+        acc += row
     acc /= acc.sum()
     return Distribution(support=support, pmf=acc)
 
@@ -637,7 +604,7 @@ def _write_distribution_files(
     cell_dists: dict[tuple[str, str], dict[int, dict[str, Distribution]]],
 ) -> None:
     for ds, rep in sorted(originals.items()):
-        for kind, dist in rep.distributions().items():
+        for kind, dist in rep.distributions.items():
             write_distribution_csv(dist_dir / f"{ds}.original.{kind}.dist.csv", dist)
     for (ds, method), reps in sorted(cell_dists.items()):
         for kind in DISTRIBUTION_KINDS:

@@ -43,14 +43,13 @@ def rmse(samples: Sequence[float], truth: float) -> float:
     return float(np.sqrt(np.mean((arr - truth) ** 2)))
 
 
-def align_supports(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Union support with zero-padded pmfs for both distributions."""
-    support = np.union1d(p.support, q.support)
-    pp = np.zeros(len(support), dtype=np.float64)
-    qq = np.zeros(len(support), dtype=np.float64)
-    pp[np.searchsorted(support, p.support)] = p.pmf
-    qq[np.searchsorted(support, q.support)] = q.pmf
-    return support, pp, qq
+def align_supports(*dists: Distribution) -> tuple[np.ndarray, np.ndarray]:
+    """Union support and one zero-padded pmf row per distribution."""
+    support = np.unique(np.concatenate([d.support for d in dists]))
+    pmfs = np.zeros((len(dists), len(support)), dtype=np.float64)
+    for row, d in zip(pmfs, dists):
+        row[np.searchsorted(support, d.support)] = d.pmf
+    return support, pmfs
 
 
 def jsd(p: Distribution, q: Distribution, base: float = 2.0) -> float:
@@ -62,7 +61,7 @@ def jsd(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     for d in (p, q):
         if abs(float(d.pmf.sum()) - 1.0) > 1e-6:
             raise ValueError("jsd inputs must be normalized")
-    _, pp, qq = align_supports(p, q)
+    _, (pp, qq) = align_supports(p, q)
     m = (pp + qq) / 2.0
     div = 0.5 * _kl(pp, m) + 0.5 * _kl(qq, m)
     div /= math.log(base)

@@ -18,9 +18,12 @@ from .graph import Graph, induced_subgraph, largest_connected_component, to_csr
 
 __all__ = [
     "CC_BINS",
+    "DISTRIBUTIONS",
     "Distribution",
+    "PATH_MODES",
     "PropertyReport",
     "REPORT_VERSION",
+    "SCALARS",
     "assortativity",
     "average_degree",
     "avg_clustering",
@@ -39,6 +42,12 @@ EXACT_PATH_LIMIT = 5000  # LCC size up to which all-pairs BFS is used
 BFS_BUDGET = 16_000_000  # uint64 words in one BFS level's neighbour gather
 # Keys the originals cache: bump it with any change that alters a report value.
 REPORT_VERSION = 1
+# The report's names, in bundle order: one raw.csv row per scalar of each cell,
+# one JSD row per distribution of each (dataset, method).
+SCALARS = ("avg_degree", "avg_clustering", "avg_path_length",
+           "global_clustering", "assortativity", "modularity")
+DISTRIBUTIONS = ("degree", "clustering", "path_length")
+PATH_MODES = ("auto", "exact", "sampled")
 
 
 @dataclass(frozen=True)
@@ -96,59 +105,32 @@ class Distribution:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """The six scalar properties plus the three local distributions."""
+    """The six scalar properties and the three local distributions.
 
-    avg_degree: float
-    avg_clustering: float
-    avg_path_length: float
-    global_clustering: float
-    assortativity: float | None
-    modularity: float
-    degree_distribution: Distribution
-    clustering_distribution: Distribution
-    path_length_distribution: Distribution
+    ``scalars`` is keyed by SCALARS and ``distributions`` by DISTRIBUTIONS,
+    in that order, which is the order of the JSON that ``to_dict`` emits.
+    """
+
+    scalars: dict[str, float | None]
+    distributions: dict[str, Distribution]
     flags: dict[str, Any] = field(default_factory=dict)
-
-    def scalars(self) -> dict[str, float | None]:
-        return {
-            "avg_degree": self.avg_degree,
-            "avg_clustering": self.avg_clustering,
-            "avg_path_length": self.avg_path_length,
-            "global_clustering": self.global_clustering,
-            "assortativity": self.assortativity,
-            "modularity": self.modularity,
-        }
-
-    def distributions(self) -> dict[str, Distribution]:
-        return {
-            "degree": self.degree_distribution,
-            "clustering": self.clustering_distribution,
-            "path_length": self.path_length_distribution,
-        }
 
     def to_dict(self) -> dict:
         return {
-            "scalars": self.scalars(),
-            "distributions": {k: d.to_dict() for k, d in self.distributions().items()},
+            "scalars": self.scalars,
+            "distributions": {k: d.to_dict() for k, d in self.distributions.items()},
             "flags": self.flags,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PropertyReport":
-        s = d["scalars"]
-        dist = d["distributions"]
-        return cls(
-            avg_degree=s["avg_degree"],
-            avg_clustering=s["avg_clustering"],
-            avg_path_length=s["avg_path_length"],
-            global_clustering=s["global_clustering"],
-            assortativity=s["assortativity"],
-            modularity=s["modularity"],
-            degree_distribution=Distribution.from_dict(dist["degree"]),
-            clustering_distribution=Distribution.from_dict(dist["clustering"]),
-            path_length_distribution=Distribution.from_dict(dist["path_length"]),
-            flags=d.get("flags", {}),
-        )
+        s, dists = d["scalars"], d["distributions"]
+        if set(s) != set(SCALARS) or set(dists) != set(DISTRIBUTIONS):
+            raise ValueError(f"report keys {sorted(s)} and {sorted(dists)} are not "
+                             f"{list(SCALARS)} and {list(DISTRIBUTIONS)}")
+        return cls(scalars={k: s[k] for k in SCALARS},
+                   distributions={k: Distribution.from_dict(dists[k]) for k in DISTRIBUTIONS},
+                   flags=d.get("flags", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +276,10 @@ def path_length_stats(
     """
     if g.n < 2 or g.m < 1:
         raise ValueError("path lengths need at least two nodes and one edge")
-    if mode not in ("auto", "exact", "sampled"):
+    if mode not in PATH_MODES:
         raise ValueError(f"unknown path mode {mode!r}")
+    if sources < 1:
+        raise ValueError(f"path sources must be >= 1, not {sources}")
     lcc = largest_connected_component(g)
     sub = induced_subgraph(g, lcc)
     nl = sub.n
@@ -372,15 +356,7 @@ def property_report(
         "community_count": int(labels.max()) + 1,
         "community_seed": seed,
     })
-    return PropertyReport(
-        avg_degree=average_degree(g),
-        avg_clustering=float(cc.mean()),
-        avg_path_length=mean_path,
-        global_clustering=gcc,
-        assortativity=r,
-        modularity=modularity(g, labels),
-        degree_distribution=degree_distribution(g),
-        clustering_distribution=Distribution.from_histogram(cc, CC_BINS, 0.0, 1.0),
-        path_length_distribution=path_dist,
-        flags=flags,
-    )
+    scalars = (average_degree(g), float(cc.mean()), mean_path, gcc, r, modularity(g, labels))
+    dists = (degree_distribution(g), Distribution.from_histogram(cc, CC_BINS, 0.0, 1.0), path_dist)
+    return PropertyReport(scalars=dict(zip(SCALARS, scalars)),
+                          distributions=dict(zip(DISTRIBUTIONS, dists)), flags=flags)

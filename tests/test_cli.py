@@ -55,6 +55,11 @@ def test_properties_report(sw_file, tmp_path):
         "sw.clustering.dist.csv", "sw.degree.dist.csv", "sw.path_length.dist.csv"]
 
 
+def test_properties_rejects_zero_path_sources(sw_file):
+    with pytest.raises(ValueError, match="sources"):
+        main(["properties", "--input", str(sw_file), "--path-sources", "0"])
+
+
 def test_bench_run_and_aggregate(tmp_path):
     cfg = {
         "output_dir": str(tmp_path / "out"),

@@ -181,7 +181,7 @@ class TestAggregate:
         res = run_experiment(tiny_config(tmp_path / "out"))
         out = res.output_dir
         rows = read_raw(out / "raw.csv")
-        truth = res.originals["mm400"].scalars()["avg_degree"]
+        truth = res.originals["mm400"].scalars["avg_degree"]
         phi_means = []
         for phi in (0.05, 0.1):
             vals = [r.value for r in rows
@@ -287,6 +287,9 @@ class TestConfig:
             SamplerConfig(method="ls"), SamplerConfig(method="ls")))
         with pytest.raises(ValueError, match="label"):
             cfg.validate()
+        for bad in (dict(path_mode="bogus"), dict(path_sources=0), dict(path_sources=-3)):
+            with pytest.raises(ValueError, match="path_"):
+                tiny_config(tmp_path / "o", **bad).validate()
 
     def test_dataset_spec_needs_exactly_one_source(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphsample.metrics import (
     RATIO_SHIFTS,
+    align_supports,
     confidence_interval_95,
     jsd,
     rmse,
@@ -75,6 +76,14 @@ class TestRmse:
             r = rmse(vals, truth)
             assert r >= 0.0
             assert (r == 0.0) == bool(np.all(vals == truth))
+
+
+class TestAlignSupports:
+    def test_union_with_zero_padded_rows(self):
+        support, pmfs = align_supports(dist({1: 0.5, 3: 0.5}), dist({2: 1.0}),
+                                       dist({1: 0.25, 2: 0.75}))
+        assert support.tolist() == [1.0, 2.0, 3.0]
+        assert pmfs.tolist() == [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.25, 0.75, 0.0]]
 
 
 class TestJsd:

@@ -37,3 +37,22 @@ def test_traced_names_resolve():
     missing = [f"{mod}.{attr}" for mod, attr, *_ in tracing.TARGETS
                if not hasattr(importlib.import_module(mod), attr)]
     assert tracing.TARGETS and not missing
+
+
+def test_perfbench_names_resolve():
+    """Every package name the benchmark reads (gs.X, harness.X, from graphsample... import X) exists."""
+    aliases = {"gs": "graphsample", "harness": "graphsample.harness"}
+    missing, seen = [], 0
+    for path in sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                refs = [(aliases[node.value.id], node.attr)]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("graphsample"):
+                refs = [(node.module, a.name) for a in node.names]
+            else:
+                continue
+            seen += len(refs)
+            missing += [f"{path.name}: {mod}.{attr}" for mod, attr in refs
+                        if not hasattr(importlib.import_module(mod), attr)]
+    assert seen and not missing

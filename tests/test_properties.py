@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphsample.community import detect_communities, modularity
 from graphsample.graph import build_graph, induced_subgraph
 from graphsample.properties import (
     CC_BINS,
     Distribution,
+    PropertyReport,
     assortativity,
     average_degree,
     average_path_length,
@@ -149,6 +153,9 @@ class TestPathLength:
             average_path_length(build_graph([], [], n=3))
         with pytest.raises(ValueError):
             path_length_stats(path_graph(3), mode="bogus")
+        for sources in (0, -3):
+            with pytest.raises(ValueError, match="sources"):
+                path_length_stats(path_graph(3), mode="sampled", sources=sources)
 
 
 class TestAssortativity:
@@ -204,18 +211,55 @@ class TestPropertyReport:
     def test_fields_and_flags(self):
         g = random_graph(120, 0.05, seed=8)
         rep = property_report(g, seed=1)
-        s = rep.scalars()
-        assert set(s) == {"avg_degree", "avg_clustering", "avg_path_length",
-                          "global_clustering", "assortativity", "modularity"}
-        assert 0.0 <= rep.avg_clustering <= 1.0
-        assert 0.0 <= rep.global_clustering <= 1.0
-        assert rep.modularity <= 1.0
+        s = rep.scalars
+        assert list(s) == ["avg_degree", "avg_clustering", "avg_path_length",
+                           "global_clustering", "assortativity", "modularity"]
+        assert list(rep.distributions) == ["degree", "clustering", "path_length"]
+        assert 0.0 <= s["avg_clustering"] <= 1.0
+        assert 0.0 <= s["global_clustering"] <= 1.0
+        assert s["modularity"] <= 1.0
         assert rep.flags["path_mode"] == "exact"
-        for d in rep.distributions().values():
+        for d in rep.distributions.values():
             assert d.pmf.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_json_roundtrip(self):
         rep = property_report(random_graph(60, 0.1, seed=2), seed=0)
         rep2 = type(rep).from_dict(rep.to_dict())
-        assert rep2.scalars() == rep.scalars()
+        assert rep2.scalars == rep.scalars
         assert rep2.flags == rep.flags
+        assert json.dumps(rep2.to_dict()) == json.dumps(rep.to_dict())
+        # key order on disk does not matter; to_dict always emits bundle order
+        d = rep.to_dict()
+        d["scalars"] = dict(reversed(d["scalars"].items()))
+        d["distributions"] = dict(reversed(d["distributions"].items()))
+        assert json.dumps(type(rep).from_dict(d).to_dict()) == json.dumps(rep.to_dict())
+
+    def test_from_dict_rejects_other_keys(self):
+        d = property_report(random_graph(60, 0.1, seed=2), seed=0).to_dict()
+        for part, key in (("scalars", "avg_degree"), ("distributions", "clustering")):
+            missing = {**d, part: {k: v for k, v in d[part].items() if k != key}}
+            extra = {**d, part: {**d[part], "diameter": d[part][key]}}
+            for bad in (missing, extra):
+                with pytest.raises(ValueError):
+                    PropertyReport.from_dict(bad)
+
+    def test_equals_per_property_functions(self):
+        """The report derives clustering inline; it must equal the public functions bit for bit."""
+        sizes = [20, 40, 60, 90, 120, 160, 200]
+        densities = [0.02, 0.05, 0.08, 0.15, 0.25]
+        for i in range(50):
+            g = random_graph(sizes[i % 7], densities[i % 5], seed=1000 + i)
+            rep = property_report(g, seed=i)
+            s, dists = rep.scalars, rep.distributions
+            assert s["avg_degree"] == average_degree(g)
+            assert s["avg_clustering"] == avg_clustering(g)
+            assert s["global_clustering"] == global_clustering(g)
+            assert s["assortativity"] == assortativity(g)
+            mean, path_dist, _ = path_length_stats(g, mode="exact")
+            assert s["avg_path_length"] == mean
+            assert s["modularity"] == modularity(g, detect_communities(g, seed=i))
+            for got, want in ((dists["degree"], degree_distribution(g)),
+                              (dists["clustering"], clustering_distribution(g)),
+                              (dists["path_length"], path_dist)):
+                assert np.array_equal(got.support, want.support)
+                assert np.array_equal(got.pmf, want.pmf)
