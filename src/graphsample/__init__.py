@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .graph import (
-    EdgeListSource,
     Graph,
     LoadStats,
     build_graph,
@@ -22,7 +21,6 @@ from .harness import DatasetSpec, ExperimentConfig, aggregate, run_experiment
 __all__ = [
     "DatasetSpec",
     "Distribution",
-    "EdgeListSource",
     "ExperimentConfig",
     "GeneratorConfig",
     "Graph",

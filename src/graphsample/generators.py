@@ -143,8 +143,8 @@ def small_world(n: int, k: int, p: float, rng: np.random.Generator) -> Graph:
                 edges.add(cand)
                 degree[other] -= 1
                 degree[w] += 1
-    ea = np.array(sorted(edges), dtype=np.int64)
-    return build_graph(ea[:, 0], ea[:, 1], n=n)
+    u, v = np.array(list(edges), dtype=np.int64).T
+    return build_graph(u, v, n=n)
 
 
 def mixed_model(n: int, k: int, beta: float, rng: np.random.Generator) -> Graph:

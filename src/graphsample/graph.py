@@ -6,21 +6,21 @@ buffer addressed through ``indptr`` (CSR layout). Graphs are immutable
 after construction and safe to share across workers. ``Graph.rows`` is
 the one vectorised gather of the adjacency of a node set; induced edges,
 validation and the samplers' jump ball all go through it.
+``build_graph`` is the one CSR construction: every load, generator,
+sample subgraph and component subgraph is built by it.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 from scipy import sparse
 
 __all__ = [
     "EdgeListParseError",
-    "EdgeListSource",
     "Graph",
     "LoadStats",
     "build_graph",
@@ -55,27 +55,6 @@ class LoadStats:
     self_loops_dropped: int = 0
     duplicates_dropped: int = 0     # repeated unordered pairs (incl. reversed)
     isolated_dropped: int = 0       # ids that appeared only in self-loops
-
-
-@dataclass(frozen=True)
-class EdgeListSource:
-    """Where and how to read an edge list.
-
-    ``text`` takes precedence over ``path`` when both are set. ``sep=None``
-    splits on any whitespace, which covers SNAP and KONECT files.
-    """
-
-    path: str | Path | None = None
-    text: str | None = None
-    comment_prefixes: tuple[str, ...] = COMMENT_PREFIXES
-    sep: str | None = None
-
-    def lines(self) -> Iterable[str]:
-        if self.text is not None:
-            return io.StringIO(self.text)
-        if self.path is None:
-            raise ValueError("EdgeListSource needs a path or text")
-        return open(self.path, "r", encoding="utf-8")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +143,6 @@ def build_graph(
     v: Sequence[int] | np.ndarray,
     n: int | None = None,
     orig_ids: np.ndarray | None = None,
-    load_stats: LoadStats | None = None,
 ) -> Graph:
     """Build a normalized Graph from endpoint arrays.
 
@@ -183,62 +161,49 @@ def build_graph(
     if len(u) and (u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n):
         raise ValueError(f"node id out of range [0, {n})")
 
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    key = _sorted_unique(lo * np.int64(n) + hi)
-    lo, hi = key // n, key % n
-
-    deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+    # both directions of every edge as src * n + dst: one sort dedups the
+    # pairs and orders them by (src, dst), which is the CSR layout
+    key = _sorted_unique(np.concatenate([u * n + v, v * n + u]))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    indices = dst[order].astype(np.int32)
-    return Graph(indptr=indptr, indices=indices, orig_ids=orig_ids, load_stats=load_stats)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    indices = (key % n).astype(np.int32)
+    return Graph(indptr=indptr, indices=indices, orig_ids=orig_ids)
 
 
-def load_edge_list(
-    source: EdgeListSource | str | Path,
-    comment_prefixes: tuple[str, ...] = COMMENT_PREFIXES,
-    sep: str | None = None,
-) -> Graph:
+def load_edge_list(source: str | Path | TextIO) -> Graph:
     """Load and normalize an undirected simple graph from an edge list.
 
-    One edge per line, two integer ids separated by whitespace (extra
-    columns such as weights or timestamps are ignored). Direction is
-    discarded, self-loops and duplicates dropped, and ids remapped to a
-    dense [0, n) range; the remap is kept in ``Graph.orig_ids`` and the
-    drop counts in ``Graph.load_stats``.
+    ``source`` is a file path or an open text stream; a path is opened
+    and closed here, a stream is read to its end and left open. One edge
+    per line, two integer ids separated by whitespace (extra columns such
+    as weights or timestamps are ignored); blank lines and lines starting
+    with ``#`` or ``%`` are skipped. Both rules are fixed, and cover SNAP
+    and KONECT files. Direction is discarded, self-loops and duplicates
+    dropped, and ids remapped to a dense [0, n) range; the remap is kept
+    in ``Graph.orig_ids`` and the drop counts in ``Graph.load_stats``.
     """
-    if not isinstance(source, EdgeListSource):
-        source = EdgeListSource(path=source, comment_prefixes=comment_prefixes, sep=sep)
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            return load_edge_list(fh)
 
     us: list[int] = []
     vs: list[int] = []
-    lines_total = 0
-    lines_skipped = 0
-    fh = source.lines()
-    try:
-        for lineno, line in enumerate(fh, start=1):
-            lines_total += 1
-            stripped = line.strip()
-            if not stripped or stripped.startswith(source.comment_prefixes):
-                lines_skipped += 1
-                continue
-            parts = stripped.split(source.sep)
-            if len(parts) < 2:
-                raise EdgeListParseError(lineno, f"expected 'u v', got {stripped!r}")
-            try:
-                a = int(parts[0])
-                b = int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(lineno, f"non-integer node id in {stripped!r}") from None
-            us.append(a)
-            vs.append(b)
-    finally:
-        if hasattr(fh, "close"):
-            fh.close()
+    lines_total = lines_skipped = 0
+    for lineno, line in enumerate(source, start=1):
+        lines_total += 1
+        stripped = line.strip()
+        if not stripped or stripped.startswith(COMMENT_PREFIXES):
+            lines_skipped += 1
+            continue
+        parts = stripped.split()
+        if len(parts) < 2:
+            raise EdgeListParseError(lineno, f"expected 'u v', got {stripped!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(lineno, f"non-integer node id in {stripped!r}") from None
+        us.append(a)
+        vs.append(b)
 
     if not us:
         raise ValueError("empty edge list: no edges found")
@@ -246,27 +211,22 @@ def load_edge_list(
     raw_u = np.asarray(us, dtype=np.int64)
     raw_v = np.asarray(vs, dtype=np.int64)
     loops = raw_u == raw_v
-    ids_with_loops = _sorted_unique(np.concatenate([raw_u, raw_v]))
+    loop_ids = raw_u[loops]
     raw_u, raw_v = raw_u[~loops], raw_v[~loops]
     if len(raw_u) == 0:
         raise ValueError("empty edge list: all edges were self-loops")
     orig_ids = _sorted_unique(np.concatenate([raw_u, raw_v]))
-    u = np.searchsorted(orig_ids, raw_u)
-    v = np.searchsorted(orig_ids, raw_v)
-
-    n = len(orig_ids)
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    unique_pairs = len(_sorted_unique(lo * np.int64(n) + hi))
+    g = build_graph(np.searchsorted(orig_ids, raw_u), np.searchsorted(orig_ids, raw_v),
+                    n=len(orig_ids))
     stats = LoadStats(
         lines_total=lines_total,
         lines_skipped=lines_skipped,
         edges_raw=len(us),
         self_loops_dropped=int(loops.sum()),
-        duplicates_dropped=len(raw_u) - unique_pairs,
-        isolated_dropped=len(ids_with_loops) - n,
+        duplicates_dropped=len(raw_u) - g.m,
+        isolated_dropped=len(np.setdiff1d(loop_ids, orig_ids)),
     )
-    return build_graph(u, v, n=n, orig_ids=orig_ids, load_stats=stats)
+    return Graph(g.indptr, g.indices, orig_ids, load_stats=stats)
 
 
 def dump_edge_list(g: Graph, path: str | Path) -> None:
@@ -306,19 +266,11 @@ def induced_subgraph(g: Graph, nodes: Iterable[int] | np.ndarray) -> Graph:
     return subgraph(g, nodes, induced_edges(g, nodes))
 
 
-def connected_component_labels(g: Graph) -> tuple[int, np.ndarray]:
-    """(number of components, per-node component label)."""
-    if g.n == 0:
-        return 0, np.zeros(0, dtype=np.int64)
-    ncomp, labels = sparse.csgraph.connected_components(to_csr(g), directed=False)
-    return int(ncomp), labels.astype(np.int64)
-
-
 def largest_connected_component(g: Graph) -> np.ndarray:
     """Sorted node ids of a maximum component; ties go to the smallest min id."""
     if g.n == 0:
         return np.zeros(0, dtype=np.int64)
-    ncomp, labels = connected_component_labels(g)
+    ncomp, labels = sparse.csgraph.connected_components(to_csr(g), directed=False)
     sizes = np.bincount(labels, minlength=ncomp)
     best = int(sizes.max())
     candidates = np.flatnonzero(sizes == best)

@@ -115,6 +115,8 @@ class ExperimentConfig:
         labels = [s.label for s in self.samplers]
         if len(set(labels)) != len(labels):
             raise ValueError("sampler labels must be unique (set tag to disambiguate)")
+        for s in self.samplers:
+            s.validate()
         for d in self.datasets:
             d.validate()
         if not self.phis:
@@ -345,12 +347,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     _SWEEP = (cfg, graphs)
     jobs = [(ds, scfg, phi, rep_i) for ds in graphs for scfg in cfg.samplers
             for phi in cfg.phis for rep_i in range(cfg.repetitions)]
+    try:
+        results = _execute_cells(jobs, cfg.workers)
+    finally:
+        _SWEEP = None   # do not keep every dataset's CSR alive past the sweep
 
     rows: list[ReportRow] = []
     errors: list[dict] = []
     timings: list[dict] = []
     cell_dists: dict[tuple[str, str], dict[int, dict[str, Distribution]]] = {}
-    for (ds, scfg, phi, rep_i), res in zip(jobs, _execute_cells(jobs, cfg.workers)):
+    for (ds, scfg, phi, rep_i), res in zip(jobs, results):
         label = scfg.label
         timings.append({
             "dataset": ds, "method": label, "phi": phi, "rep": rep_i,

@@ -67,7 +67,8 @@ class SamplerConfig:
     def label(self) -> str:
         return self.tag or self.method
 
-    def validate(self, n: int) -> None:
+    def validate(self) -> None:
+        """The checks that need no graph; ``sample`` bounds fs_walkers and rd_seeds by n."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.finalize_mode not in ("induced", "collected"):
@@ -75,8 +76,6 @@ class SamplerConfig:
         if self.method == "fs":
             if self.fs_walkers < 1:
                 raise ValueError("fs_walkers must be >= 1")
-            if self.fs_walkers > n:
-                raise ValueError("fs_walkers cannot exceed the node count")
             if self.fs_stall_limit < 1:
                 raise ValueError("fs_stall_limit must be >= 1")
         if self.method == "xs" and self.xs_seed_rule not in ("uniform", "max_degree"):
@@ -84,7 +83,7 @@ class SamplerConfig:
         if self.method == "ls" and self.ls_rule not in ("uniform", "max_degree"):
             raise ValueError(f"unknown ls_rule {self.ls_rule!r}")
         if self.method == "rd":
-            if self.rd_seeds < 1 or self.rd_seeds > n:
+            if self.rd_seeds < 1:
                 raise ValueError("rd_seeds must be in [1, n]")
             if not 0.0 < self.rd_rho <= 1.0:
                 raise ValueError("rd_rho must be in (0, 1]")
@@ -193,7 +192,11 @@ class _Run:
     owns the RNG, and turns the finished run into a finalized Sample."""
 
     def __init__(self, g: Graph, cfg: SamplerConfig):
-        cfg.validate(g.n)
+        cfg.validate()
+        if cfg.method == "fs" and cfg.fs_walkers > g.n:
+            raise ValueError("fs_walkers cannot exceed the node count")
+        if cfg.method == "rd" and cfg.rd_seeds > g.n:
+            raise ValueError("rd_seeds must be in [1, n]")
         self.g = g
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from graphsample.graph import (
     EdgeListParseError,
-    EdgeListSource,
     Graph,
     build_graph,
     dump_edge_list,
@@ -25,7 +26,7 @@ from oracles import (
 
 
 def load_text(text):
-    return load_edge_list(EdgeListSource(text=text))
+    return load_edge_list(io.StringIO(text))
 
 
 class TestLoader:
@@ -46,6 +47,20 @@ class TestLoader:
         g = load_text("# snap header\n% konect header\n5 7 1.0 1234\n7 9\n")
         assert g.n == 3 and g.m == 2
         assert g.load_stats.lines_skipped == 2
+
+    def test_tabs_crlf_and_indented_comments_from_path_and_stream(self, tmp_path):
+        data = (b"1\t2\r\n  # indented comment\r\n \t \r\n% konect header\r\n"
+                b"2 3 1.0 1234\r\n3\t4\t0.5\r\n")
+        p = tmp_path / "edges.txt"
+        p.write_bytes(data)
+        g = load_edge_list(p)
+        assert (g.n, g.m) == (4, 3)
+        assert (g.load_stats.lines_total, g.load_stats.lines_skipped) == (6, 3)
+        s = load_edge_list(io.StringIO(data.decode("utf-8")))
+        assert np.array_equal(s.indptr, g.indptr)
+        assert np.array_equal(s.indices, g.indices)
+        assert np.array_equal(s.orig_ids, g.orig_ids)
+        assert s.load_stats == g.load_stats
 
     def test_malformed_line_number(self):
         with pytest.raises(EdgeListParseError, match="line 2"):

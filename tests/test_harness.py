@@ -151,6 +151,18 @@ class TestRunExperiment:
         # coverage: rows = cells x 6 minus error cells
         assert len(res.rows) == (8 - 4) * 6
 
+    def test_staged_graphs_released(self, tmp_path, monkeypatch):
+        run_experiment(tiny_config(tmp_path / "ok", phis=(0.1,), repetitions=1))
+        assert harness._SWEEP is None
+
+        def crash(job):
+            raise RuntimeError("cell crashed")
+
+        monkeypatch.setattr(harness, "_run_cell", crash)
+        with pytest.raises(RuntimeError, match="cell crashed"):
+            run_experiment(tiny_config(tmp_path / "bad", phis=(0.1,), repetitions=1))
+        assert harness._SWEEP is None
+
 
 class TestAggregate:
     def test_point_stats_match_raw_means(self, tmp_path):
@@ -290,6 +302,17 @@ class TestConfig:
         for bad in (dict(path_mode="bogus"), dict(path_sources=0), dict(path_sources=-3)):
             with pytest.raises(ValueError, match="path_"):
                 tiny_config(tmp_path / "o", **bad).validate()
+        # a mistyped sampler fails before any original report is computed
+        for sampler, message in (({"method": "xz"}, "unknown method 'xz'"),
+                                 ({"method": "ls", "finalize_mode": "colected"},
+                                  "unknown finalize mode 'colected'")):
+            cfg = ExperimentConfig.from_dict({
+                "output_dir": str(tmp_path / "o"),
+                "datasets": [{"name": "mm", "generator": {"model": "mm", "nodes": 300}}],
+                "samplers": [sampler],
+            })
+            with pytest.raises(ValueError, match=message):
+                cfg.validate()
 
     def test_dataset_spec_needs_exactly_one_source(self):
         with pytest.raises(ValueError):
