@@ -287,7 +287,7 @@ def to_csr(g: Graph) -> sparse.csr_matrix:
 
 
 def validate(g: Graph) -> None:
-    """Assert the structural invariants; used by tests and generators."""
+    """Assert the structural invariants; used by tests."""
     assert g.indptr[0] == 0 and g.indptr[-1] == len(g.indices)
     assert np.all(np.diff(g.indptr) >= 0)
     degs = g.degrees()

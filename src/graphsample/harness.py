@@ -24,6 +24,7 @@ byte for byte; wall-clock data lives only in timings.csv and meta.json.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -76,6 +77,8 @@ class DatasetSpec:
     def validate(self) -> None:
         if (self.path is None) == (self.generator is None):
             raise ValueError(f"dataset {self.name!r}: set exactly one of path/generator")
+        if self.generator is not None:
+            self.generator.validate()
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
@@ -300,11 +303,12 @@ def _run_cell(job: tuple[str, SamplerConfig, float, int]) -> _CellResult:
 
 
 def _execute_cells(jobs: list[tuple], workers: int) -> list[_CellResult]:
+    """Run the cells; a worker that dies raises BrokenProcessPool instead of hanging."""
     if workers <= 1 or len(jobs) <= 1:
         return [_run_cell(j) for j in jobs]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
-        return pool.map(_run_cell, jobs, chunksize=max(1, len(jobs) // (workers * 8)))
+    with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run_cell, jobs, chunksize=max(1, len(jobs) // (workers * 8))))
 
 
 # ---------------------------------------------------------------------------
@@ -426,24 +430,18 @@ def aggregate(
     Scaling ratios get a per-(dataset, method, phi, property) mean and
     95% CI over repetitions. RMSE follows the protocol: each phi cell is
     the mean over repetitions, one RMSE across phis per (dataset, method,
-    property). JSD compares per-repetition distributions at the ECDF phi
+    property). JSD compares per-repetition distributions at the lowest phi
     against the original. Missing or undefined cells leave explicit gaps
     and a warning.
     """
     warnings: list[str] = []
     cells: dict[tuple[str, str, float, str], dict[int, float | None]] = {}
-    datasets_seen: list[str] = []
-    methods_seen: list[str] = []
-    phis_seen: list[float] = []
     for row in rows:
         cells.setdefault((row.dataset, row.method, row.phi, row.property), {})[row.rep] = row.value
-        if row.dataset not in datasets_seen:
-            datasets_seen.append(row.dataset)
-        if row.method not in methods_seen:
-            methods_seen.append(row.method)
-        if row.phi not in phis_seen:
-            phis_seen.append(row.phi)
-    phis_seen.sort()
+    # cells are keyed in row order, so datasets and methods keep their first appearance
+    datasets_seen = dict.fromkeys(ds for ds, _, _, _ in cells)
+    methods_seen = dict.fromkeys(method for _, method, _, _ in cells)
+    phis_seen = sorted({phi for _, _, phi, _ in cells})
 
     point_stats: list[dict] = []
     rmse_rows: list[dict] = []

@@ -173,10 +173,7 @@ def node_budget(phi: float, n: int) -> int:
     x = phi * n
     if x < 1.0 - 1e-9:
         raise ValueError("phi * n must be at least 1")
-    budget = _ceil_count(x)
-    if budget < 1:
-        raise ValueError("phi * n must be at least 1")
-    return min(budget, n)
+    return min(_ceil_count(x), n)
 
 
 def _ceil_count(x: float) -> int:
@@ -203,7 +200,9 @@ class _Run:
         self.degs = g.degrees()
         self.budget = node_budget(cfg.phi, g.n)
         self.sampled = np.zeros(g.n, dtype=bool)
-        self.tel = Telemetry(method=cfg.method)
+        self.tel = Telemetry(method=cfg.method, params={   # the config fields of this method
+            f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+            if f.name.startswith(f"{cfg.method}_")})
         self.edges: set[tuple[int, int]] = set()
 
     @property
@@ -254,7 +253,7 @@ class _Run:
         return finalize(self.g, raw, self.cfg.finalize_mode)
 
 
-def finalize(g: Graph, raw: Sample, mode: str | None = None) -> Sample:
+def finalize(g: Graph, raw: Sample, mode: str) -> Sample:
     """Trim overshoot back to the budget and fix the edge set.
 
     ``collected`` keeps only traversal-collected edges; ``induced``
@@ -262,7 +261,6 @@ def finalize(g: Graph, raw: Sample, mode: str | None = None) -> Sample:
     (batch methods can exceed the budget on their last step) is trimmed
     from the most recently visited nodes.
     """
-    mode = mode or raw.mode
     if mode not in ("induced", "collected"):
         raise ValueError(f"unknown finalize mode {mode!r}")
     budget = node_budget(raw.phi, g.n)
@@ -275,12 +273,7 @@ def finalize(g: Graph, raw: Sample, mode: str | None = None) -> Sample:
     else:
         mask = np.zeros(g.n, dtype=bool)
         mask[nodes] = True
-        collected = raw.edges
-        if len(collected):
-            keep = mask[collected[:, 0]] & mask[collected[:, 1]]
-            edges = collected[keep]
-        else:
-            edges = collected
+        edges = raw.edges[mask[raw.edges[:, 0]] & mask[raw.edges[:, 1]]]
     return Sample(nodes=nodes, edges=edges, method=raw.method, phi=raw.phi,
                   seed=raw.seed, mode=mode, telemetry=raw.telemetry)
 
@@ -309,7 +302,6 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     walkers = eligible[rng.choice(len(eligible), size=cfg.fs_walkers, replace=False)].astype(np.int64)
     for v in walkers:
         run.log("seed", int(v))
-    run.tel.params = {"fs_walkers": cfg.fs_walkers, "fs_stall_limit": cfg.fs_stall_limit}
 
     wdeg = degs[walkers].astype(np.float64)
     stall = 0
@@ -363,7 +355,6 @@ def expansion_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     """
     run = _Run(g, cfg)
     degs = run.degs
-    run.tel.params = {"xs_seed_rule": cfg.xs_seed_rule}
 
     covered = np.zeros(g.n, dtype=bool)     # membership in S union N(S)
     in_frontier = np.zeros(g.n, dtype=bool)
@@ -385,12 +376,8 @@ def expansion_sample(g: Graph, cfg: SamplerConfig) -> Sample:
         for key, x in zip((ncov[push] - degs[push]).tolist(), push.tolist()):
             heapq.heappush(heap, (key, x))
 
-    def seed_node() -> int:
-        if cfg.xs_seed_rule == "max_degree" and run.count == 0:
-            return int(np.lexsort((np.arange(g.n), -degs))[0])
-        return run.uniform_unsampled()
-
-    v0 = seed_node()
+    # argmax returns the first maximum: the smallest id of top degree
+    v0 = int(np.argmax(degs)) if cfg.xs_seed_rule == "max_degree" else run.uniform_unsampled()
     run.visit(v0)
     run.log("visit", v0)
     absorb(v0)
@@ -428,14 +415,12 @@ def rank_degree_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     seed, and promotes exactly those nodes to be the next seed set.
     """
     run = _Run(g, cfg)
-    run.tel.params = {"rd_seeds": cfg.rd_seeds, "rd_rho": cfg.rd_rho}
 
-    seeds = [int(v) for v in run.rng.choice(g.n, size=cfg.rd_seeds, replace=False)]
-    for v in seeds:
+    seed_set = [int(v) for v in run.rng.choice(g.n, size=cfg.rd_seeds, replace=False)]
+    for v in seed_set:
         run.visit(v)
         run.log("visit", v)
 
-    seed_set = list(seeds)
     while not run.full():
         if not seed_set:
             seed_set = [run.restart()]
@@ -475,7 +460,6 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     induced finalize modes coincide for this sampler.
     """
     run = _Run(g, cfg)
-    run.tel.params = {"ls_rule": cfg.ls_rule}
 
     queued = np.zeros(g.n, dtype=bool)
     heap: list[tuple[int, int]] = []
@@ -534,11 +518,6 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
 # Hybrid jump (Metropolis-Hastings walk with BFS jump list)
 
 
-def _estimate_avg_degree(g: Graph, probes: int, rng: np.random.Generator) -> float:
-    idx = rng.integers(0, g.n, size=min(probes, max(1, g.n)))
-    return float(g.degrees()[idx].mean())
-
-
 def _mh_propose(g: Graph, degs: np.ndarray, v: int, rng: np.random.Generator) -> tuple[int, bool]:
     """One Metropolis-Hastings step from v: (proposed neighbor, accepted)."""
     nb = g.neighbors(v)
@@ -579,15 +558,9 @@ def hybrid_jump_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     run = _Run(g, cfg)
     rng, degs = run.rng, run.degs
 
-    dhat = _estimate_avg_degree(g, cfg.hj_probes, rng)
+    dhat = float(degs[rng.integers(0, g.n, size=min(cfg.hj_probes, g.n))].mean())
     alpha = cfg.hj_alpha if cfg.hj_alpha is not None else min(1.0, 1.0 / max(dhat, 1e-12))
-    run.tel.params = {
-        "hj_alpha": alpha,
-        "hj_avg_degree_estimate": dhat,
-        "hj_bfs_depth": cfg.hj_bfs_depth,
-        "hj_probes": cfg.hj_probes,
-        "hj_stall_limit": cfg.hj_stall_limit,
-    }
+    run.tel.params.update(hj_alpha=alpha, hj_avg_degree_estimate=dhat)
 
     v = int(rng.integers(g.n))
     run.visit(v)
@@ -636,11 +609,8 @@ _DISPATCH: dict[str, Callable[[Graph, SamplerConfig], Sample]] = {
 
 def sample(g: Graph, cfg: SamplerConfig) -> Sample:
     """Run the configured sampler."""
-    try:
-        fn = _DISPATCH[cfg.method]
-    except KeyError:
-        raise ValueError(f"unknown method {cfg.method!r}") from None
-    return fn(g, cfg)
+    cfg.validate()
+    return _DISPATCH[cfg.method](g, cfg)
 
 
 def sample_subgraph(g: Graph, s: Sample) -> Graph:

@@ -1,7 +1,11 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
 import statistics
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -163,6 +167,43 @@ class TestRunExperiment:
             run_experiment(tiny_config(tmp_path / "bad", phis=(0.1,), repetitions=1))
         assert harness._SWEEP is None
 
+    def test_dead_worker_fails_the_sweep_instead_of_hanging(self, tmp_path):
+        """A cell that SIGKILLs its own pool worker (as the OOM killer would).
+
+        The sweep runs in a forked child with a deadline, so a sweep that
+        waits forever for the lost cell fails this test instead of hanging it.
+        """
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def sweep():
+            os.setpgrp()   # the child and its pool workers form one group, killed together
+            driver, real_sample = os.getpid(), harness.sample
+
+            def sample_or_die(g, scfg):
+                if os.getpid() != driver and scfg.seed == derive_seed(11, "mm400", "ls", 0.1, 1):
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real_sample(g, scfg)
+
+            harness.sample = sample_or_die
+            try:
+                run_experiment(tiny_config(tmp_path / "out", workers=2))
+                send.send("returned")
+            except BrokenProcessPool:
+                send.send(f"broken, staged graphs released: {harness._SWEEP is None}")
+            except Exception as exc:
+                send.send(repr(exc))
+
+        child = ctx.Process(target=sweep)
+        child.start()
+        try:
+            got = recv.recv() if recv.poll(60) else "hung"
+        finally:
+            if child.is_alive():
+                os.killpg(child.pid, signal.SIGKILL)
+            child.join()
+        assert got == "broken, staged graphs released: True"
+
 
 class TestAggregate:
     def test_point_stats_match_raw_means(self, tmp_path):
@@ -313,6 +354,15 @@ class TestConfig:
             })
             with pytest.raises(ValueError, match=message):
                 cfg.validate()
+        # so does a mistyped generator, which used to fail only after the other datasets ran
+        cfg = ExperimentConfig.from_dict({
+            "output_dir": str(tmp_path / "o"),
+            "datasets": [{"name": "mm", "generator": {"model": "mm", "nodes": 300}},
+                         {"name": "sw", "generator": {"model": "sw", "nodes": 300, "sw_k": 3}}],
+            "samplers": [{"method": "ls"}],
+        })
+        with pytest.raises(ValueError, match="sw_k must be even"):
+            cfg.validate()
 
     def test_dataset_spec_needs_exactly_one_source(self):
         with pytest.raises(ValueError):

@@ -79,8 +79,14 @@ class TestClustering:
         assert avg_clustering(complete_graph(3)) == 1.0
 
     def test_triangle_counts_vs_dense_oracle(self):
-        for seed in range(5):
-            g = random_graph(60, 0.15, seed=seed)
+        k8 = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+        hub = build_graph(*zip(*(k8 + [(7, leaf) for leaf in range(8, 16)])))  # K8 + star on node 7
+        graphs = [random_graph(60, 0.15, seed=seed) for seed in range(5)] + [
+            hub,
+            build_graph([], [], n=6),                  # edgeless
+            build_graph([0, 1, 2], [1, 2, 0], n=7),    # triangle + isolated nodes
+        ]
+        for g in graphs:
             assert np.array_equal(triangle_edge_counts(g), triangles_per_node_oracle(g))
 
     def test_local_values_vs_pairwise_oracle(self):

@@ -290,6 +290,25 @@ class TestUniversalContracts:
             replay_check(g, smp)
 
     @pytest.mark.parametrize("method", METHODS)
+    def test_params_are_the_method_config(self, method):
+        g = cycle(30)   # every degree is 2, so HJ's probe estimates exactly 2
+        cfg = SamplerConfig(method, phi=0.2, seed=1, fs_walkers=3, fs_stall_limit=50,
+                            xs_seed_rule="max_degree", ls_rule="max_degree", rd_seeds=4,
+                            rd_rho=0.3, hj_probes=20, hj_bfs_depth=1, hj_stall_limit=70)
+        expected = {
+            "fs": {"fs_walkers": 3, "fs_stall_limit": 50},
+            "xs": {"xs_seed_rule": "max_degree"},
+            "rd": {"rd_seeds": 4, "rd_rho": 0.3},
+            "ls": {"ls_rule": "max_degree"},
+            "hj": {"hj_alpha": 0.5, "hj_probes": 20, "hj_bfs_depth": 1, "hj_stall_limit": 70,
+                   "hj_avg_degree_estimate": 2.0},
+        }[method]
+        assert sample(g, cfg).telemetry.params == expected
+        if method == "hj":   # a configured alpha is reported as given
+            cfg = SamplerConfig("hj", phi=0.2, seed=1, hj_alpha=0.25)
+            assert sample(g, cfg).telemetry.params["hj_alpha"] == 0.25
+
+    @pytest.mark.parametrize("method", METHODS)
     def test_full_budget_exhausts_disconnected_graph(self, method):
         g = two_component_graph()
         smp = sample(g, SamplerConfig(method, phi=1.0, seed=2, fs_stall_limit=200))
