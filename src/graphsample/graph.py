@@ -30,7 +30,6 @@ __all__ = [
     "largest_connected_component",
     "load_edge_list",
     "subgraph",
-    "to_csr",
     "validate",
 ]
 
@@ -270,7 +269,9 @@ def largest_connected_component(g: Graph) -> np.ndarray:
     """Sorted node ids of a maximum component; ties go to the smallest min id."""
     if g.n == 0:
         return np.zeros(0, dtype=np.int64)
-    ncomp, labels = sparse.csgraph.connected_components(to_csr(g), directed=False)
+    adj = sparse.csr_matrix((np.ones(len(g.indices), dtype=np.int64), g.indices, g.indptr),
+                            shape=(g.n, g.n))
+    ncomp, labels = sparse.csgraph.connected_components(adj, directed=False)
     sizes = np.bincount(labels, minlength=ncomp)
     best = int(sizes.max())
     candidates = np.flatnonzero(sizes == best)
@@ -278,12 +279,6 @@ def largest_connected_component(g: Graph) -> np.ndarray:
     first_seen = np.unique(labels, return_index=True)[1]
     winner = candidates[int(np.argmin(first_seen[candidates]))]
     return np.flatnonzero(labels == winner).astype(np.int64)
-
-
-def to_csr(g: Graph) -> sparse.csr_matrix:
-    """Adjacency as a scipy CSR matrix with unit weights."""
-    data = np.ones(len(g.indices), dtype=np.int64)
-    return sparse.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
 
 
 def validate(g: Graph) -> None:

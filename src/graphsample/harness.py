@@ -95,6 +95,9 @@ def _from_dict(cls, d: dict, what: str, **parsed):
     return cls(**{**d, **parsed})
 
 
+_SWEEP_KEYS = {"phi", "seed", "record_steps"}   # sampler fields that each cell sets
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     datasets: tuple[DatasetSpec, ...]
@@ -106,6 +109,10 @@ class ExperimentConfig:
     path_sources: int = 256
     output_dir: str = "bench_out"
     workers: int = 1
+
+    def __post_init__(self):
+        # cell seeds and CSV text use repr(phi), and repr(np.float64(0.1)) is not '0.1'
+        object.__setattr__(self, "phis", tuple(float(phi) for phi in self.phis))
 
     def validate(self) -> None:
         if not self.datasets:
@@ -139,15 +146,20 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        d = dataclasses.asdict(self)
+        d["samplers"] = [{k: v for k, v in s.items() if k not in _SWEEP_KEYS} for s in d["samplers"]]
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        samplers = d.get("samplers", ())
+        owned = sorted({k for x in samplers for k in x} & _SWEEP_KEYS)
+        if owned:
+            raise ValueError(f"sampler config keys {owned} are set by the sweep, not the config")
         return _from_dict(
             cls, d, "experiment",
-            datasets=tuple(DatasetSpec.from_dict(x) for x in d["datasets"]),
-            samplers=tuple(_from_dict(SamplerConfig, x, "sampler") for x in d["samplers"]),
-            phis=tuple(d.get("phis", cls.phis)),
+            datasets=tuple(DatasetSpec.from_dict(x) for x in d.get("datasets", ())),
+            samplers=tuple(_from_dict(SamplerConfig, x, "sampler") for x in samplers),
         )
 
     @classmethod

@@ -2,8 +2,9 @@
 
 Local: degree, clustering coefficient, path length. Global: global
 clustering (transitivity), degree assortativity, modularity of a
-detected partition. Path lengths are computed on the largest connected
-component; everything else uses the whole graph.
+detected partition. ``clustering`` gives local and global clustering
+from one triangle count. Path lengths are computed on the largest
+connected component; everything else uses the whole graph.
 """
 
 from __future__ import annotations
@@ -27,13 +28,9 @@ __all__ = [
     "SCALARS",
     "assortativity",
     "average_degree",
-    "avg_clustering",
-    "clustering_distribution",
+    "clustering",
     "degree_distribution",
-    "global_clustering",
-    "local_clustering_all",
     "path_length_stats",
-    "average_path_length",
     "property_report",
     "triangle_edge_counts",
 ]
@@ -177,8 +174,9 @@ def triangle_edge_counts(g: Graph) -> np.ndarray:
             + np.asarray(middle.sum(axis=1)).ravel())
 
 
-def _clustering(g: Graph, tri: np.ndarray) -> tuple[np.ndarray, float]:
-    """(local clustering per node, global clustering) from ``triangle_edge_counts(g)``."""
+def clustering(g: Graph) -> tuple[np.ndarray, float]:
+    """(local clustering per node, 0 below degree 2; global clustering) from one triangle count."""
+    tri = triangle_edge_counts(g)
     degs = g.degrees().astype(np.float64)
     local = np.zeros(g.n, dtype=np.float64)
     mask = degs >= 2
@@ -186,35 +184,6 @@ def _clustering(g: Graph, tri: np.ndarray) -> tuple[np.ndarray, float]:
     triplets = float((degs * (degs - 1.0) / 2.0).sum())
     # closed triplets (3 * triangles) over all triplets; 0 without a triplet
     return local, float(tri.sum()) / triplets if triplets else 0.0
-
-
-def local_clustering_all(g: Graph) -> np.ndarray:
-    """Local clustering coefficient per node (0 for degree < 2)."""
-    return _clustering(g, triangle_edge_counts(g))[0]
-
-
-def avg_clustering(g: Graph, include_low_degree: bool = True) -> float:
-    """Mean local clustering; nodes of degree < 2 count as 0 by default."""
-    if g.n == 0:
-        raise ValueError("average clustering undefined for an empty graph")
-    vals = local_clustering_all(g)
-    if not include_low_degree:
-        vals = vals[g.degrees() >= 2]
-        if len(vals) == 0:
-            return 0.0
-    return float(vals.mean())
-
-
-def clustering_distribution(g: Graph) -> Distribution:
-    """Local clustering values binned into CC_BINS uniform bins on [0, 1]."""
-    if g.n == 0:
-        raise ValueError("clustering distribution undefined for an empty graph")
-    return Distribution.from_histogram(local_clustering_all(g), CC_BINS, 0.0, 1.0)
-
-
-def global_clustering(g: Graph) -> float:
-    """Closed triplets over all triplets; 0 when the graph has no triplet."""
-    return _clustering(g, triangle_edge_counts(g))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +280,6 @@ def path_length_stats(
     return mean, dist, flags
 
 
-def average_path_length(g: Graph, mode: str = "auto", sources: int = 256, seed: int = 0) -> float:
-    return path_length_stats(g, mode=mode, sources=sources, seed=seed)[0]
-
-
 # ---------------------------------------------------------------------------
 # Assortativity
 
@@ -353,7 +318,7 @@ def property_report(
         raise ValueError("property report needs a non-empty graph with edges")
     mean_path, path_dist, flags = path_length_stats(
         g, mode=path_mode, sources=path_sources, seed=seed)
-    cc, gcc = _clustering(g, triangle_edge_counts(g))
+    cc, gcc = clustering(g)
     labels = detect_communities(g, seed=seed)
     r = assortativity(g)
     flags = dict(flags)

@@ -29,10 +29,8 @@ from graphsample.properties import (
     Distribution,
     assortativity,
     average_degree,
-    avg_clustering,
+    clustering,
     degree_distribution,
-    global_clustering,
-    local_clustering_all,
     path_length_stats,
     property_report,
 )
@@ -85,12 +83,11 @@ def test_criterion_1_property_oracles():
             assert set(got) == set(expect)
             assert all(abs(got[k] - expect[k]) <= 1e-9 for k in expect)
 
-            cc = local_clustering_all(g)
+            cc, gcc = clustering(g)
             cc_oracle = local_clustering_oracle(g)
             assert float(np.max(np.abs(cc - cc_oracle))) <= 1e-12
-            assert avg_clustering(g) == pytest.approx(cc_oracle.mean(), abs=1e-12)
-            assert global_clustering(g) == pytest.approx(
-                global_clustering_oracle(g), abs=1e-12)
+            assert cc.mean() == pytest.approx(cc_oracle.mean(), abs=1e-12)
+            assert gcc == pytest.approx(global_clustering_oracle(g), abs=1e-12)
 
             r = assortativity(g)
             r_oracle = assortativity_oracle(g)
@@ -131,8 +128,9 @@ def _check_table1(name, path, info):
     avg = average_degree(g)
     assert avg == pytest.approx(2 * exp["m"] / exp["n"], abs=1e-12)
     assert abs(avg - exp["avg_degree"]) <= 0.015          # table prints 2 decimals
-    assert abs(avg_clustering(g) - exp["avg_clustering"]) <= 0.01
-    assert abs(global_clustering(g) - exp["global_clustering"]) <= 0.01
+    cc, gcc = clustering(g)
+    assert abs(cc.mean() - exp["avg_clustering"]) <= 0.01
+    assert abs(gcc - exp["global_clustering"]) <= 0.01
     assert abs(assortativity(g) - exp["assortativity"]) <= 0.01
     mean, _, _ = path_length_stats(g, mode="sampled", sources=1024, seed=0)
     assert abs(mean - exp["avg_path_length"]) <= 0.15

@@ -11,7 +11,7 @@ from graphsample.generators import (
     small_world,
 )
 from graphsample.graph import largest_connected_component, validate
-from graphsample.properties import average_path_length
+from graphsample.properties import path_length_stats
 
 from oracles import floyd_warshall_oracle
 
@@ -45,7 +45,7 @@ class TestSmallWorld:
     def test_ten_cycle_path_length(self):
         g = generate(GeneratorConfig(model="sw", nodes=10, sw_k=2, sw_p=0.0, seed=0))
         assert g.m == 10
-        got = average_path_length(g, mode="exact")
+        got = path_length_stats(g, mode="exact")[0]
         dist = floyd_warshall_oracle(g)
         mask = ~np.eye(10, dtype=bool)
         assert got == pytest.approx(dist[mask].mean(), abs=1e-12)

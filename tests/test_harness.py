@@ -8,6 +8,7 @@ import statistics
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphsample import harness
@@ -91,11 +92,12 @@ class TestRunExperiment:
 
     def test_reproducible_bytes(self, tmp_path):
         cfg1 = tiny_config(tmp_path / "a")
-        cfg2 = tiny_config(tmp_path / "b")
+        cfg2 = tiny_config(tmp_path / "b", phis=tuple(np.array([0.05, 0.1])))   # same values
         r1 = run_experiment(cfg1)
         r2 = run_experiment(cfg2)
         for name in ("raw.csv", "point_stats.csv", "rmse.csv", "jsd.csv", "summary.csv"):
             assert (r1.output_dir / name).read_bytes() == (r2.output_dir / name).read_bytes()
+        assert read_raw(r2.output_dir / "raw.csv") == r1.rows
 
     def test_workers_do_not_change_results(self, tmp_path):
         r1 = run_experiment(tiny_config(tmp_path / "w1", workers=1))
@@ -302,6 +304,18 @@ class TestConfig:
             })
         with pytest.raises(ValueError, match="unknown"):
             DatasetSpec.from_dict({"name": "x", "path": "p", "what": 1})
+        # the sweep sets each cell's phi and seed; a config that names them would be overridden
+        for key, value in (("phi", 0.5), ("seed", 7), ("record_steps", True)):
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig.from_dict({
+                    "datasets": [{"name": "x", "path": "p"}],
+                    "samplers": [{"method": "ls"}, {"method": "fs", key: value}],
+                })
+        for missing, message in (("datasets", "no datasets"), ("samplers", "no samplers")):
+            d = {"datasets": [{"name": "x", "path": "p"}], "samplers": [{"method": "ls"}]}
+            del d[missing]
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig.from_dict(d).validate()
 
     def test_json_config_keeps_each_sampler_finalize_mode(self, tmp_path, monkeypatch):
         seen = {}

@@ -12,13 +12,7 @@ import pytest
 
 from graphsample.community import detect_communities, modularity
 from graphsample.graph import induced_edges
-from graphsample.properties import (
-    assortativity,
-    average_path_length,
-    avg_clustering,
-    global_clustering,
-    path_length_stats,
-)
+from graphsample.properties import assortativity, clustering, path_length_stats
 from graphsample.samplers import _jump_candidates
 
 from oracles import random_graph
@@ -63,10 +57,12 @@ def test_jump_candidates(pair):
 def test_properties(pair):
     _, g, G = pair
     lcc = G.subgraph(max(nx.connected_components(G), key=len))
-    assert abs(global_clustering(g) - nx.transitivity(G)) <= TOL
-    assert abs(avg_clustering(g) - nx.average_clustering(G)) <= TOL
+    cc, gcc = clustering(g)
+    assert abs(gcc - nx.transitivity(G)) <= TOL
+    assert abs(cc.mean() - nx.average_clustering(G)) <= TOL
     assert abs(assortativity(g) - nx.degree_assortativity_coefficient(G)) <= TOL
-    assert abs(average_path_length(g, mode="exact") - nx.average_shortest_path_length(lcc)) <= TOL
+    mean = path_length_stats(g, mode="exact")[0]
+    assert abs(mean - nx.average_shortest_path_length(lcc)) <= TOL
 
 
 def test_path_length_pmf(pair):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsample.community import detect_communities, modularity
+from graphsample import properties
 from graphsample.graph import build_graph, induced_subgraph
 from graphsample.properties import (
     CC_BINS,
@@ -13,12 +14,8 @@ from graphsample.properties import (
     PropertyReport,
     assortativity,
     average_degree,
-    average_path_length,
-    avg_clustering,
-    clustering_distribution,
+    clustering,
     degree_distribution,
-    global_clustering,
-    local_clustering_all,
     path_length_stats,
     property_report,
     triangle_edge_counts,
@@ -74,9 +71,10 @@ class TestDegreeDistribution:
 
 class TestClustering:
     def test_k3_and_star(self):
-        assert local_clustering_all(complete_graph(3))[0] == 1.0
-        assert local_clustering_all(star(8))[0] == 0.0
-        assert avg_clustering(complete_graph(3)) == 1.0
+        assert clustering(complete_graph(3))[0].tolist() == [1.0, 1.0, 1.0]
+        assert clustering(star(8))[0].tolist() == [0.0] * 8
+        tri = build_graph([0, 0, 1, 0], [1, 2, 2, 3])  # triangle + pendant on node 0
+        assert clustering(tri)[0].tolist() == pytest.approx([1 / 3, 1.0, 1.0, 0.0])
 
     def test_triangle_counts_vs_dense_oracle(self):
         k8 = [(a, b) for a in range(8) for b in range(a + 1, 8)]
@@ -91,48 +89,40 @@ class TestClustering:
 
     def test_local_values_vs_pairwise_oracle(self):
         g = random_graph(30, 0.2, seed=3)
-        got = local_clustering_all(g)
+        got = clustering(g)[0]
         expected = local_clustering_oracle(g)
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_distribution_bins(self):
-        d = clustering_distribution(random_graph(40, 0.3, seed=1))
+        d = property_report(random_graph(40, 0.3, seed=1)).distributions["clustering"]
         assert len(d.support) == CC_BINS
         assert d.pmf.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_exclude_low_degree_option(self):
-        g = star(5)  # all clustering zero either way
-        assert avg_clustering(g, include_low_degree=False) == 0.0
-        tri = build_graph([0, 0, 1, 0], [1, 2, 2, 3])  # triangle + pendant on node 0
-        # c = (1/3, 1, 1, 0); the pendant contributes a zero only when included
-        assert avg_clustering(tri) == pytest.approx(7 / 12)
-        assert avg_clustering(tri, include_low_degree=False) == pytest.approx(7 / 9)
 
 
 class TestGlobalClustering:
     def test_k3_p3(self):
-        assert global_clustering(complete_graph(3)) == 1.0
-        assert global_clustering(path_graph(3)) == 0.0
+        assert clustering(complete_graph(3))[1] == 1.0
+        assert clustering(path_graph(3))[1] == 0.0
 
     def test_no_triplets_is_zero(self):
         matching = build_graph([0, 2], [1, 3])
-        assert global_clustering(matching) == 0.0
+        assert clustering(matching)[1] == 0.0
 
     def test_vs_dense_oracle(self):
         for seed in range(4):
             g = random_graph(40, 0.15, seed=seed)
-            assert global_clustering(g) == pytest.approx(global_clustering_oracle(g), abs=1e-12)
+            assert clustering(g)[1] == pytest.approx(global_clustering_oracle(g), abs=1e-12)
 
 
 class TestPathLength:
     def test_p3(self):
-        assert average_path_length(path_graph(3), mode="exact") == pytest.approx(4 / 3)
+        assert path_length_stats(path_graph(3), mode="exact")[0] == pytest.approx(4 / 3)
 
     def test_ten_cycle_vs_floyd_warshall(self):
         g = cycle(10)
         fw = floyd_warshall_oracle(g)
         mask = ~np.eye(10, dtype=bool)
-        assert average_path_length(g, mode="exact") == pytest.approx(fw[mask].mean(), abs=1e-9)
+        assert path_length_stats(g, mode="exact")[0] == pytest.approx(fw[mask].mean(), abs=1e-9)
 
     def test_disconnected_uses_lcc(self):
         g = build_graph([0, 1, 2, 4], [1, 2, 3, 5])  # P4 plus an edge
@@ -144,8 +134,8 @@ class TestPathLength:
 
     def test_sampled_converges(self):
         g = random_graph(800, 0.01, seed=6)
-        exact = average_path_length(g, mode="exact")
-        approx = average_path_length(g, mode="sampled", sources=4096, seed=0)
+        exact = path_length_stats(g, mode="exact")[0]
+        approx = path_length_stats(g, mode="sampled", sources=4096, seed=0)[0]
         assert abs(approx - exact) <= 0.02 * exact
 
     def test_distribution_is_hop_pmf(self):
@@ -156,7 +146,7 @@ class TestPathLength:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            average_path_length(build_graph([], [], n=3))
+            path_length_stats(build_graph([], [], n=3))
         with pytest.raises(ValueError):
             path_length_stats(path_graph(3), mode="bogus")
         for sources in (0, -3):
@@ -250,22 +240,30 @@ class TestPropertyReport:
                     PropertyReport.from_dict(bad)
 
     def test_equals_per_property_functions(self):
-        """The report derives clustering inline; it must equal the public functions bit for bit."""
+        """The report must equal the public per-property functions bit for bit."""
         sizes = [20, 40, 60, 90, 120, 160, 200]
         densities = [0.02, 0.05, 0.08, 0.15, 0.25]
         for i in range(50):
             g = random_graph(sizes[i % 7], densities[i % 5], seed=1000 + i)
             rep = property_report(g, seed=i)
             s, dists = rep.scalars, rep.distributions
+            cc, gcc = clustering(g)
             assert s["avg_degree"] == average_degree(g)
-            assert s["avg_clustering"] == avg_clustering(g)
-            assert s["global_clustering"] == global_clustering(g)
+            assert s["avg_clustering"] == float(cc.mean())
+            assert s["global_clustering"] == gcc
             assert s["assortativity"] == assortativity(g)
             mean, path_dist, _ = path_length_stats(g, mode="exact")
             assert s["avg_path_length"] == mean
             assert s["modularity"] == modularity(g, detect_communities(g, seed=i))
             for got, want in ((dists["degree"], degree_distribution(g)),
-                              (dists["clustering"], clustering_distribution(g)),
+                              (dists["clustering"], Distribution.from_histogram(cc, CC_BINS, 0.0, 1.0)),
                               (dists["path_length"], path_dist)):
                 assert np.array_equal(got.support, want.support)
                 assert np.array_equal(got.pmf, want.pmf)
+
+    def test_one_triangle_pass(self, monkeypatch):
+        calls = []
+        real = properties.triangle_edge_counts
+        monkeypatch.setattr(properties, "triangle_edge_counts", lambda g: calls.append(g) or real(g))
+        property_report(random_graph(60, 0.1, seed=4), seed=0)
+        assert len(calls) == 1
