@@ -230,11 +230,9 @@ def load_edge_list(source: str | Path | TextIO) -> Graph:
 
 def dump_edge_list(g: Graph, path: str | Path) -> None:
     """Write the normalized edge list: header comment, then 'u v' with u < v."""
-    ea = g.edge_array()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={g.n} m={g.m}\n")
-        for u, v in ea:
-            fh.write(f"{u} {v}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in g.edge_array().tolist())
 
 
 def induced_edges(g: Graph, nodes: np.ndarray) -> np.ndarray:

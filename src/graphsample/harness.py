@@ -95,7 +95,9 @@ def _from_dict(cls, d: dict, what: str, **parsed):
     return cls(**{**d, **parsed})
 
 
-_SWEEP_KEYS = {"phi", "seed", "record_steps"}   # sampler fields that each cell sets
+# sampler fields that each cell sets, and the defaults a config leaves them at
+_SWEEP_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SamplerConfig)
+                   if f.name in ("phi", "seed", "record_steps")}
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,9 @@ class ExperimentConfig:
             raise ValueError("sampler labels must be unique (set tag to disambiguate)")
         for s in self.samplers:
             s.validate()
+            owned = sorted(k for k, default in _SWEEP_DEFAULTS.items() if getattr(s, k) != default)
+            if owned:
+                raise ValueError(f"sampler {s.label!r}: fields {owned} are set by the sweep, not the config")
         for d in self.datasets:
             d.validate()
         if not self.phis:
@@ -147,13 +152,13 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["samplers"] = [{k: v for k, v in s.items() if k not in _SWEEP_KEYS} for s in d["samplers"]]
+        d["samplers"] = [{k: v for k, v in s.items() if k not in _SWEEP_DEFAULTS} for s in d["samplers"]]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         samplers = d.get("samplers", ())
-        owned = sorted({k for x in samplers for k in x} & _SWEEP_KEYS)
+        owned = sorted({k for x in samplers for k in x} & _SWEEP_DEFAULTS.keys())
         if owned:
             raise ValueError(f"sampler config keys {owned} are set by the sweep, not the config")
         return _from_dict(

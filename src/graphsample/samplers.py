@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, induced_edges, subgraph
+from .graph import Graph, _sorted_unique, induced_edges, subgraph
 
 __all__ = [
     "Sample",
@@ -203,14 +203,11 @@ class _Run:
         self.tel = Telemetry(method=cfg.method, params={   # the config fields of this method
             f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
             if f.name.startswith(f"{cfg.method}_")})
-        self.edges: set[tuple[int, int]] = set()
-
-    @property
-    def count(self) -> int:
-        return len(self.tel.visit_order)
+        self.us: list[int] = []     # collected edges as two endpoint lists
+        self.vs: list[int] = []
 
     def full(self) -> bool:
-        return self.count >= self.budget
+        return len(self.tel.visit_order) >= self.budget
 
     def visit(self, v: int) -> bool:
         if self.sampled[v]:
@@ -219,8 +216,18 @@ class _Run:
         self.tel.visit_order.append(int(v))
         return True
 
-    def add_edge(self, u: int, v: int) -> None:
-        self.edges.add((int(min(u, v)), int(max(u, v))))
+    def start(self, v: int) -> None:
+        """Sample v without an edge."""
+        self.visit(v)
+        self.log("visit", v)
+
+    def edge(self, u: int, v: int) -> bool:
+        """Sample v through the edge (u, v) and collect it; True if v is new."""
+        new = self.visit(v)
+        self.us.append(int(u))
+        self.vs.append(int(v))
+        self.log("edge", u, v)
+        return new
 
     def log(self, *event) -> None:
         if self.cfg.record_steps:
@@ -238,15 +245,17 @@ class _Run:
     def restart(self, positive_degree: bool = False) -> int:
         """Sample a uniform unsampled node after a dead end and return it."""
         u = self.uniform_unsampled(positive_degree)
-        self.visit(u)
+        self.start(u)
         self.tel.restarts += 1
-        self.log("visit", u)
         return u
 
     def finish(self, edges: np.ndarray | None = None) -> Sample:
-        """Finalize the run; ``edges`` replaces the collected edge set."""
+        """Finalize the run; ``edges`` replaces the collected edges."""
         if edges is None:
-            edges = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
+            n = self.g.n
+            u, v = np.array(self.us, dtype=np.int64), np.array(self.vs, dtype=np.int64)
+            key = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
+            edges = np.column_stack([key // n, key % n])
         raw = Sample(nodes=np.array(self.tel.visit_order, dtype=np.int64), edges=edges,
                      method=self.cfg.method, phi=self.cfg.phi, seed=self.cfg.seed,
                      mode="raw", telemetry=self.tel)
@@ -317,10 +326,7 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
             run.tel.walker_draws.append(
                 (int(di.sum()), int((di ** 2).sum()), int((di ** 3).sum()), d))
         w = int(g.neighbors(v)[rng.integers(d)])
-        new = run.visit(v)
-        new |= run.visit(w)
-        run.add_edge(v, w)
-        run.log("edge", v, w)
+        new = run.visit(v) | run.edge(v, w)
         walkers[i] = w
         wdeg[i] = degs[w]
         run.tel.steps += 1
@@ -349,54 +355,49 @@ def expansion_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     smallest id. An exhausted component triggers a restart from a uniform
     unsampled seed.
 
-    A frontier node's score only falls and it leaves the frontier only by
-    being sampled, so a stale heap entry never becomes valid again: the
-    pop order is that of a heap holding one entry per frontier node.
+    ``score`` holds deg - ncov for frontier nodes and -1 for all others,
+    viewed as rows of ``width`` nodes; ``top`` holds each row's maximum.
+    The first maximum of ``top``, then of its row, is the top score with
+    the smallest id.
     """
     run = _Run(g, cfg)
     degs = run.degs
 
+    width = math.isqrt(g.n) + 1
     covered = np.zeros(g.n, dtype=bool)     # membership in S union N(S)
-    in_frontier = np.zeros(g.n, dtype=bool)
-    ncov = np.zeros(g.n, dtype=np.int64)    # covered neighbours; a frontier node scores deg - ncov
-    heap: list[tuple[int, int]] = []        # (ncov - deg, id); an entry is stale once ncov rose
+    ncov = np.zeros(g.n, dtype=np.int64)    # covered neighbours
+    score = np.full(-(-g.n // width) * width, -1, dtype=np.int64)   # padded to whole rows
+    rows = score.reshape(-1, width)
+    top = np.full(len(rows), -1, dtype=np.int64)                     # each row's maximum
 
     def absorb(v: int) -> None:
-        """Move v into S and refresh frontier bookkeeping."""
-        in_frontier[v] = False
+        """Move v into S and rescore the nodes whose score changed."""
+        score[v] = -1
         nbrs = g.neighbors(v)
         ball = np.append(nbrs, v)
         fresh = ball[~covered[ball]]
         covered[fresh] = True
         _, touched = g.rows(fresh)
         np.add.at(ncov, touched, 1)
-        new = nbrs[~run.sampled[nbrs] & ~in_frontier[nbrs]]
-        in_frontier[new] = True
-        push = np.unique(np.concatenate([touched[in_frontier[touched]], new]))
-        for key, x in zip((ncov[push] - degs[push]).tolist(), push.tolist()):
-            heapq.heappush(heap, (key, x))
+        rescore = np.concatenate([touched[score[touched] >= 0], nbrs[~run.sampled[nbrs]]])
+        score[rescore] = degs[rescore] - ncov[rescore]
+        r = _sorted_unique(np.append(rescore, v) // width)
+        top[r] = rows[r].max(axis=1)
 
     # argmax returns the first maximum: the smallest id of top degree
     v0 = int(np.argmax(degs)) if cfg.xs_seed_rule == "max_degree" else run.uniform_unsampled()
-    run.visit(v0)
-    run.log("visit", v0)
+    run.start(v0)
     absorb(v0)
 
     while not run.full():
-        best = -1
-        while heap:
-            negscore, v = heapq.heappop(heap)
-            if in_frontier[v] and ncov[v] - degs[v] == negscore:
-                best = v
-                break
-        if best < 0:
+        r = int(np.argmax(top))
+        if top[r] < 0:
             absorb(run.restart())
             continue
+        best = r * width + int(np.argmax(rows[r]))
         nb = g.neighbors(best)
-        anchor = int(nb[run.sampled[nb]][0])    # smallest sampled neighbor
-        run.visit(best)
-        run.add_edge(anchor, best)
-        run.log("edge", anchor, best)
+        if not run.edge(int(nb[run.sampled[nb]][0]), best):   # from its smallest sampled neighbour
+            raise RuntimeError(f"XS picked node {best}, which is already sampled")
         run.tel.steps += 1
         absorb(best)
     return run.finish()
@@ -418,8 +419,7 @@ def rank_degree_sample(g: Graph, cfg: SamplerConfig) -> Sample:
 
     seed_set = [int(v) for v in run.rng.choice(g.n, size=cfg.rd_seeds, replace=False)]
     for v in seed_set:
-        run.visit(v)
-        run.log("visit", v)
+        run.start(v)
 
     while not run.full():
         if not seed_set:
@@ -436,9 +436,7 @@ def rank_degree_sample(g: Graph, cfg: SamplerConfig) -> Sample:
         k = max(1, _ceil_count(cfg.rd_rho * len(cand)))
         top = [int(cand[j]) for j in order[:k]]
         for w in top:
-            run.visit(w)
-            run.add_edge(u, w)
-            run.log("edge", u, w)
+            run.edge(u, w)
         run.tel.steps += 1
         seed_set = top
     return run.finish()
@@ -493,8 +491,7 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
         return -1
 
     v0 = run.uniform_unsampled()
-    run.visit(v0)
-    run.log("visit", v0)
+    run.start(v0)
     push_neighbors(v0)
 
     while not run.full():
@@ -503,10 +500,7 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
             push_neighbors(run.restart())
             continue
         nb = g.neighbors(v)
-        anchors = nb[run.sampled[nb]]
-        if len(anchors):
-            run.log("edge", int(anchors[0]), v)
-        run.visit(v)
+        run.edge(int(nb[run.sampled[nb]][0]), v)   # every candidate neighbours a sampled node
         run.tel.steps += 1
         push_neighbors(v)
 
@@ -563,8 +557,7 @@ def hybrid_jump_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     run.tel.params.update(hj_alpha=alpha, hj_avg_degree_estimate=dhat)
 
     v = int(rng.integers(g.n))
-    run.visit(v)
-    run.log("visit", v)
+    run.start(v)
     stall = 0
     while not run.full():
         if degs[v] == 0:   # parked on an isolated node (possible via restart)
@@ -575,9 +568,7 @@ def hybrid_jump_sample(g: Graph, cfg: SamplerConfig) -> Sample:
             run.tel.proposals.append((int(degs[v]), int(degs[w]), accepted))
         new = False
         if accepted:
-            new = run.visit(w)
-            run.add_edge(v, w)
-            run.log("edge", v, w)
+            new = run.edge(v, w)
             v = w
         run.tel.steps += 1
         if not run.full() and rng.random() < alpha:

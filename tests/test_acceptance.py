@@ -283,6 +283,7 @@ def test_criterion_5_metric_laws():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_trend_reproduction(tmp_path):
     with criterion("6 trend reproduction at desk scale") as info:
         t0 = time.perf_counter()

@@ -1,7 +1,7 @@
 """Expansion sampling pinned by the order in which it visits nodes.
 
-XS is a greedy heap walk, so a bookkeeping slip (a stale heap entry taken
-as valid, a score off by one) can reorder its visits without changing
+XS is a greedy walk over running scores, so a bookkeeping slip (a stale
+row maximum, a score off by one) can reorder its visits without changing
 much else. Each pin hashes ``telemetry.visit_order`` together with the
 finalized nodes and edges, for both seed rules on the three generator
 models. The generated graphs are connected, so the max-degree rule never

@@ -97,6 +97,8 @@ class TestLoader:
         g = load_text("4 1\n1 2\n2 3\n9 4\n1 9\n")
         p, p2 = tmp_path / "dump.txt", tmp_path / "dump2.txt"
         dump_edge_list(g, p)
+        # ids 1, 2, 3, 4, 9 remap to 0..4
+        assert p.read_text() == "# n=5 m=5\n0 1\n0 3\n0 4\n1 2\n3 4\n"
         g2 = load_edge_list(p)
         assert g2.n == g.n and g2.m == g.m
         assert np.array_equal(g2.indptr, g.indptr)

@@ -354,6 +354,12 @@ class TestConfig:
             SamplerConfig(method="ls"), SamplerConfig(method="ls")))
         with pytest.raises(ValueError, match="label"):
             cfg.validate()
+        # each cell sets phi, seed and record_steps, so a Python-built sampler may not
+        for field, kw in (("phi", dict(phi=0.5)), ("seed", dict(seed=7)),
+                          ("record_steps", dict(record_steps=False))):
+            cfg = tiny_config(tmp_path / "o", samplers=(SamplerConfig(method="ls", **kw),))
+            with pytest.raises(ValueError, match=f"'{field}'"):
+                cfg.validate()
         for bad in (dict(path_mode="bogus"), dict(path_sources=0), dict(path_sources=-3)):
             with pytest.raises(ValueError, match="path_"):
                 tiny_config(tmp_path / "o", **bad).validate()

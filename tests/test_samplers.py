@@ -103,10 +103,22 @@ class TestExpansionSampling:
 
     @pytest.mark.parametrize("rule", ["uniform", "max_degree"])
     def test_visit_order_vs_definition_oracle(self, rule):
+        # sparse cases leave isolated nodes and small components, so XS restarts
+        graphs = [random_graph(40 + 5 * case, (0.02, 0.05, 0.15)[case % 3], seed=case)
+                  for case in range(12)]
+        # XS keeps its scores in rows of isqrt(n) + 1 nodes: n = 12 and 56 fill
+        # whole rows, and n = 2 and 3 are the smallest graphs phi = 0.9 allows
+        graphs += [random_graph(12, 0.25, seed=1), random_graph(56, 0.06, seed=2),
+                   random_graph(2, 1.0, seed=0), build_graph([0], [1], n=3),
+                   random_graph(3, 1.0, seed=0)]
+        # hub 0 with six pendants and two equal five-leaf stars; the centres 2
+        # and 9 lie in rows 0 and 1 of width 5, and tie once the hub is sampled
+        leaves = iter([1, 3, 4, 5, 6, 7, 8] + list(range(10, 19)))
+        edges = [(0, 2), (0, 9)] + [(0, next(leaves)) for _ in range(6)]
+        edges += [(c, next(leaves)) for c in (2, 9) for _ in range(5)]
+        graphs.append(build_graph(*zip(*edges)))
         restarts = 0
-        for case in range(12):
-            # sparse cases leave isolated nodes and small components, so XS restarts
-            g = random_graph(40 + 5 * case, (0.02, 0.05, 0.15)[case % 3], seed=case)
+        for case, g in enumerate(graphs):
             for seed in range(3):
                 cfg = SamplerConfig("xs", phi=0.9, seed=seed, xs_seed_rule=rule)
                 smp = expansion_sample(g, cfg)
