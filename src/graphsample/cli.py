@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .generators import GeneratorConfig, generate
+from .generators import MODELS, GeneratorConfig, generate
 from .graph import dump_edge_list, load_edge_list
 from .harness import (
     ExperimentConfig,
@@ -30,7 +30,7 @@ from .harness import (
     write_tables,
 )
 from .properties import property_report
-from .samplers import SamplerConfig, sample
+from .samplers import METHODS, SamplerConfig, sample
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -44,30 +44,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic graph")
-    p.add_argument("--model", required=True, choices=["ff", "sw", "mm"])
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--nodes", required=True, type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ff-pf", type=float, default=None, help="forward-burn probability")
-    p.add_argument("--sw-k", type=int, default=None, help="ring degree (even)")
-    p.add_argument("--sw-p", type=float, default=None, help="rewire probability")
-    p.add_argument("--mm-k", type=int, default=None, help="edges per new node")
-    p.add_argument("--mm-beta", type=float, default=None, help="preferential fraction")
+    _add_option_flags(p, GeneratorConfig, MODELS)
     p.add_argument("--out", required=True, help="output edge-list path")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("sample", help="sample a graph from an edge-list file")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", required=True, choices=["fs", "xs", "rd", "ls", "hj"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--phi", required=True, type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["induced", "collected"], default="induced")
-    p.add_argument("--fs-walkers", type=int, default=None)
-    p.add_argument("--rd-seeds", type=int, default=None)
-    p.add_argument("--rd-rho", type=float, default=None)
-    p.add_argument("--hj-alpha", type=float, default=None)
-    p.add_argument("--hj-probes", type=int, default=None)
-    p.add_argument("--hj-bfs-depth", type=int, default=None)
-    p.add_argument("--xs-seed-rule", choices=["uniform", "max_degree"], default=None)
+    p.add_argument("--mode", choices=["induced", "collected"], default=None,
+                   help="default: the method's own rule (FS/RD/HJ collected, XS/LS induced)")
+    _add_option_flags(p, SamplerConfig, METHODS)
     p.add_argument("--out", required=True, help="output edge-list path")
     p.add_argument("--sidecar", default=None, help="telemetry JSON path (default: OUT.json)")
     p.set_defaults(func=_cmd_sample)
@@ -100,14 +91,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_option_flags(p: argparse.ArgumentParser, cls, prefixes) -> None:
+    """One flag per method- or model-prefixed field of ``cls`` (``--fs-walkers``), typed by its
+    default (float for None); ``args.options`` names them, and an unset flag stays None."""
+    fields = [f for f in dataclasses.fields(cls) if f.name.split("_")[0] in prefixes]
+    for f in fields:
+        p.add_argument("--" + f.name.replace("_", "-"), default=None, help=f"default: {f.default}",
+                       type=float if f.default is None else type(f.default))
+    p.set_defaults(options=[f.name for f in fields])
+
+
+def _given_options(args) -> dict:
+    return {k: getattr(args, k) for k in args.options if getattr(args, k) is not None}
+
+
 def _cmd_generate(args) -> int:
-    overrides = {}
-    for attr, key in (("ff_pf", "ff_pf"), ("sw_k", "sw_k"), ("sw_p", "sw_p"),
-                      ("mm_k", "mm_k"), ("mm_beta", "mm_beta")):
-        val = getattr(args, attr)
-        if val is not None:
-            overrides[key] = val
-    cfg = GeneratorConfig(model=args.model, nodes=args.nodes, seed=args.seed, **overrides)
+    cfg = GeneratorConfig(model=args.model, nodes=args.nodes, seed=args.seed, **_given_options(args))
     g = generate(cfg)
     dump_edge_list(g, args.out)
     print(f"wrote {args.out}: n={g.n} m={g.m}")
@@ -116,14 +115,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_sample(args) -> int:
     g = load_edge_list(args.input)
-    overrides = {}
-    for attr in ("fs_walkers", "rd_seeds", "rd_rho", "hj_alpha", "hj_probes",
-                 "hj_bfs_depth", "xs_seed_rule"):
-        val = getattr(args, attr)
-        if val is not None:
-            overrides[attr] = val
     cfg = SamplerConfig(method=args.method, phi=args.phi, seed=args.seed,
-                        finalize_mode=args.mode, **overrides)
+                        finalize_mode=args.mode, **_given_options(args))
     smp = sample(g, cfg)
     orig = g.orig_ids
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -13,14 +13,16 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import Graph, _check_int_fields, build_graph
 
-__all__ = ["GeneratorConfig", "generate", "forest_fire", "small_world", "mixed_model",
+__all__ = ["MODELS", "GeneratorConfig", "generate", "forest_fire", "small_world", "mixed_model",
            "calibrate_parameter"]
 
 # Forward-burn probability that lands forest-fire graphs near average
 # degree 16.3 at n=10k (see scripts/calibrate_generators.py).
 FF_DEFAULT_PF = 0.4887
+
+MODELS = ("ff", "sw", "mm")
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,8 @@ class GeneratorConfig:
     mm_beta: float = 0.5             # preferential-attachment fraction
 
     def validate(self) -> None:
-        if self.model not in ("ff", "sw", "mm"):
+        _check_int_fields(self)
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "ff":
             if not 0.0 < self.ff_pf < 1.0:

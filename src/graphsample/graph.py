@@ -12,7 +12,8 @@ sample subgraph and component subgraph is built by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -135,6 +136,16 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     keep = np.ones(len(a), dtype=bool)
     keep[1:] = a[1:] != a[:-1]
     return a[keep]
+
+
+def _check_int_fields(cfg) -> None:
+    """Reject a value that is not a Python or numpy int in any ``int`` field of dataclass ``cfg``."""
+    for f in (f for f in fields(cfg) if f.type == "int"):   # annotations are strings here
+        value = getattr(cfg, f.name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{f.name} must be an integer, not {value!r}") from None
 
 
 def build_graph(

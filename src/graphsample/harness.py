@@ -41,11 +41,11 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .generators import GeneratorConfig, generate
-from .graph import Graph, load_edge_list
+from .graph import Graph, _check_int_fields, load_edge_list
 from .metrics import RATIO_SHIFTS, align_supports, confidence_interval_95, jsd, rmse, scaling_ratio
 from .properties import (DISTRIBUTIONS as DISTRIBUTION_KINDS, PATH_MODES, REPORT_VERSION,
                          SCALARS as PROPERTY_ORDER, Distribution, PropertyReport, property_report)
-from .samplers import Sample, SamplerConfig, sample, sample_subgraph
+from .samplers import METHODS, SamplerConfig, sample, sample_subgraph
 
 __all__ = [
     "DatasetSpec",
@@ -117,6 +117,7 @@ class ExperimentConfig:
         object.__setattr__(self, "phis", tuple(float(phi) for phi in self.phis))
 
     def validate(self) -> None:
+        _check_int_fields(self)
         if not self.datasets:
             raise ValueError("no datasets configured")
         if not self.samplers:
@@ -127,6 +128,9 @@ class ExperimentConfig:
         labels = [s.label for s in self.samplers]
         if len(set(labels)) != len(labels):
             raise ValueError("sampler labels must be unique (set tag to disambiguate)")
+        for name in names + labels:   # each names bundle files such as dists/cells/<dataset>.<label>.json
+            if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or os.sep in name:
+                raise ValueError(f"dataset name or sampler label {name!r} is not a plain file name")
         for s in self.samplers:
             s.validate()
             owned = sorted(k for k, default in _SWEEP_DEFAULTS.items() if getattr(s, k) != default)
@@ -211,20 +215,8 @@ def derive_seed(master_seed: int, *tokens) -> int:
 
 
 def default_method_suite() -> tuple[SamplerConfig, ...]:
-    """The five samplers under their defining edge semantics.
-
-    FS, RD and HJ collect edges while traversing; XS is evaluated on the
-    subgraph induced over its node set; LS's induction step makes both
-    modes coincide. Each SamplerConfig's finalize_mode is the only place
-    the mode is chosen.
-    """
-    return (
-        SamplerConfig(method="fs", finalize_mode="collected"),
-        SamplerConfig(method="xs", finalize_mode="induced"),
-        SamplerConfig(method="rd", finalize_mode="collected"),
-        SamplerConfig(method="ls", finalize_mode="induced"),
-        SamplerConfig(method="hj", finalize_mode="collected"),
-    )
+    """The five samplers, each under its defining edge semantics (SamplerConfig's default mode)."""
+    return tuple(SamplerConfig(method=m) for m in METHODS)
 
 
 def load_dataset(spec: DatasetSpec) -> Graph:
@@ -602,12 +594,9 @@ def write_tables(out: Path, tables: Tables, method_labels: Sequence[str]) -> Non
 
 def write_distribution_csv(path: Path, dist: Distribution) -> None:
     """Write one distribution as support,pmf,ecdf rows."""
-    ecdf = dist.ecdf()
-    with _atomic_open(path, newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["support", "pmf", "ecdf"])
-        for s, p, e in zip(dist.support.tolist(), dist.pmf.tolist(), ecdf.tolist()):
-            w.writerow([_fmt(s), _fmt(float(p)), _fmt(float(e))])
+    columns = ["support", "pmf", "ecdf"]
+    _write_dicts(path, [dict(zip(columns, row)) for row in
+                        zip(dist.support.tolist(), dist.pmf.tolist(), dist.ecdf().tolist())], columns)
 
 
 def _mean_distribution(dists: Sequence[Distribution]) -> Distribution:

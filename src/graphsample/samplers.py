@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, _sorted_unique, induced_edges, subgraph
+from .graph import Graph, _check_int_fields, _sorted_unique, induced_edges, subgraph
 
 __all__ = [
     "Sample",
@@ -44,7 +44,7 @@ class SamplerConfig:
     method: str
     phi: float = 0.1
     seed: int = 0
-    finalize_mode: str = "induced"   # "induced" | "collected"
+    finalize_mode: str | None = None  # "induced" | "collected"; default: the method's own rule
     tag: str | None = None           # row label in reports; defaults to method
     record_steps: bool = True
     # FS
@@ -63,12 +63,19 @@ class SamplerConfig:
     hj_bfs_depth: int = 2
     hj_stall_limit: int = 1000
 
+    def __post_init__(self):
+        # each method's defining edge rule: FS, RD and HJ collect; XS and LS are induced
+        if self.finalize_mode is None:
+            object.__setattr__(self, "finalize_mode",
+                               "induced" if self.method in ("xs", "ls") else "collected")
+
     @property
     def label(self) -> str:
         return self.tag or self.method
 
     def validate(self) -> None:
         """The checks that need no graph; ``sample`` bounds fs_walkers and rd_seeds by n."""
+        _check_int_fields(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.finalize_mode not in ("induced", "collected"):
@@ -107,7 +114,6 @@ class Telemetry:
     ("jump", u, v) teleport within the BFS jump list.
     """
 
-    method: str
     steps: int = 0
     restarts: int = 0
     teleports: int = 0
@@ -200,7 +206,7 @@ class _Run:
         self.degs = g.degrees()
         self.budget = node_budget(cfg.phi, g.n)
         self.sampled = np.zeros(g.n, dtype=bool)
-        self.tel = Telemetry(method=cfg.method, params={   # the config fields of this method
+        self.tel = Telemetry(params={   # the config fields of this method
             f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
             if f.name.startswith(f"{cfg.method}_")})
         self.us: list[int] = []     # collected edges as two endpoint lists
@@ -249,14 +255,13 @@ class _Run:
         self.tel.restarts += 1
         return u
 
-    def finish(self, edges: np.ndarray | None = None) -> Sample:
-        """Finalize the run; ``edges`` replaces the collected edges."""
-        if edges is None:
-            n = self.g.n
-            u, v = np.array(self.us, dtype=np.int64), np.array(self.vs, dtype=np.int64)
-            key = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
-            edges = np.column_stack([key // n, key % n])
-        raw = Sample(nodes=np.array(self.tel.visit_order, dtype=np.int64), edges=edges,
+    def finish(self) -> Sample:
+        """Finalize the run with its collected edges."""
+        n = self.g.n
+        u, v = np.array(self.us, dtype=np.int64), np.array(self.vs, dtype=np.int64)
+        key = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
+        raw = Sample(nodes=np.array(self.tel.visit_order, dtype=np.int64),
+                     edges=np.column_stack([key // n, key % n]),
                      method=self.cfg.method, phi=self.cfg.phi, seed=self.cfg.seed,
                      mode="raw", telemetry=self.tel)
         return finalize(self.g, raw, self.cfg.finalize_mode)
@@ -453,9 +458,9 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     ``uniform`` rule (default) draws the next node uniformly from the
     list, balancing depth against breadth of exploration; ``max_degree``
     instead takes the candidate with the highest degree in g (ties to
-    the smaller id). The method's defining induction step then sets the
-    edge set to all g-edges among sampled nodes, so the collected and
-    induced finalize modes coincide for this sampler.
+    the smaller id). The method's defining induction step, which sets the
+    edge set to all g-edges among sampled nodes, is its default
+    ``induced`` finalize mode; ``collected`` keeps the traversal edges.
     """
     run = _Run(g, cfg)
 
@@ -503,9 +508,7 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
         run.edge(int(nb[run.sampled[nb]][0]), v)   # every candidate neighbours a sampled node
         run.tel.steps += 1
         push_neighbors(v)
-
-    # induction step: edge set = all edges among sampled nodes
-    return run.finish(induced_edges(g, np.array(sorted(run.tel.visit_order), dtype=np.int64)))
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +656,7 @@ def replay_check(g: Graph, s: Sample) -> None:
     node_set = set(int(x) for x in s.nodes)
     if not node_set <= sampled:
         raise ValueError("sample contains nodes never visited in the step log")
-    if s.mode == "collected" and s.method != "ls":
+    if s.mode == "collected":
         edge_set = {(int(a), int(b)) for a, b in s.edges}
         if not edge_set <= logged_edges:
             raise ValueError("collected edges not covered by the step log")

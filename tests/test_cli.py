@@ -1,9 +1,24 @@
+import dataclasses
 import json
 
 import pytest
 
 from graphsample.cli import main
-from graphsample.graph import load_edge_list
+from graphsample.generators import MODELS, GeneratorConfig, generate
+from graphsample.graph import dump_edge_list, load_edge_list
+from graphsample.samplers import METHODS, SamplerConfig
+
+# a valid non-default value for every method- or model-prefixed config field
+OPTION_VALUES = {
+    "fs_walkers": 3, "fs_stall_limit": 50, "xs_seed_rule": "max_degree", "ls_rule": "max_degree",
+    "rd_seeds": 3, "rd_rho": 0.5, "hj_alpha": 0.25, "hj_probes": 50, "hj_bfs_depth": 3,
+    "hj_stall_limit": 50,
+    "ff_pf": 0.3, "sw_k": 4, "sw_p": 0.0, "mm_k": 4, "mm_beta": 0.0,
+}
+
+
+def option_fields(cls, prefixes):
+    return [f.name for f in dataclasses.fields(cls) if f.name.split("_")[0] in prefixes]
 
 
 @pytest.fixture()
@@ -37,9 +52,42 @@ def test_sample_writes_edges_and_sidecar(sw_file, tmp_path):
     assert sidecar["method"] == "rd"
     assert sidecar["n_nodes"] == 12
     assert len(sidecar["nodes"]) == 12
-    assert sidecar["config"]["finalize_mode"] == "induced"
+    assert sidecar["config"]["finalize_mode"] == "collected"   # RD's own rule, as with no --mode
     sg = load_edge_list(out)
     assert sg.m == sidecar["n_edges"]
+
+
+@pytest.mark.parametrize("name", option_fields(SamplerConfig, METHODS))
+def test_every_sampler_option_has_a_flag(sw_file, tmp_path, name):
+    value = OPTION_VALUES[name]
+    out = tmp_path / "smp.txt"
+    assert main(["sample", "--input", str(sw_file), "--method", name.split("_")[0], "--phi", "0.2",
+                 "--" + name.replace("_", "-"), str(value), "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "smp.txt.json").read_text())["config"]
+    assert config[name] == value != getattr(SamplerConfig("fs"), name)
+
+
+@pytest.mark.parametrize("name", option_fields(GeneratorConfig, MODELS))
+def test_every_generator_option_has_a_flag(tmp_path, name):
+    value = OPTION_VALUES[name]
+    model = name.split("_")[0]
+    out = tmp_path / "g.txt"
+    assert main(["generate", "--model", model, "--nodes", "60", "--seed", "2",
+                 "--" + name.replace("_", "-"), str(value), "--out", str(out)]) == 0
+    for expected, kwargs in ((True, {name: value}), (False, {})):
+        dump_edge_list(generate(GeneratorConfig(model, 60, seed=2, **kwargs)), tmp_path / "ref.txt")
+        assert ((tmp_path / "ref.txt").read_bytes() == out.read_bytes()) is expected
+
+
+def test_sample_mode_defaults_to_the_method_rule(sw_file, tmp_path):
+    for method, mode in (("ls", "induced"), ("hj", "collected")):
+        out = tmp_path / f"{method}.txt"
+        assert main(["sample", "--input", str(sw_file), "--method", method, "--phi", "0.1",
+                     "--out", str(out)]) == 0
+        assert json.loads((tmp_path / f"{method}.txt.json").read_text())["mode"] == mode
+    with pytest.raises(ValueError, match="xs_seed_rule"):
+        main(["sample", "--input", str(sw_file), "--method", "xs", "--phi", "0.1",
+              "--xs-seed-rule", "max-degree", "--out", str(out)])
 
 
 def test_properties_report(sw_file, tmp_path):

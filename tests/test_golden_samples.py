@@ -25,7 +25,8 @@ GOLDEN = {
     ("rd", "induced"): "d836800ba277dc6d0dbbfd45a3fd3e29d6b98686a852f40c7f8f533e39d339f0",
     ("rd", "collected"): "00608ff5386516fddbd0ccde821a101379c114b4570d7fe7a32a1510b0ae571e",
     ("ls", "induced"): "3b368fff49eabbcd20ad8c4ad6de9aed4c5dac98102b2edbffbe429338c48e7d",
-    ("ls", "collected"): "3b368fff49eabbcd20ad8c4ad6de9aed4c5dac98102b2edbffbe429338c48e7d",
+    # LS's induction step is its induced mode; collected keeps its 231 traversal edges
+    ("ls", "collected"): "03376d55429061d82a59531cef00bfb0123fed539a40582e1ac62263ab36fa0a",
     ("hj", "induced"): "c2a7e8c40643574978fbfad628199560a6fbb05470f26e64e090cfa3f173422a",
     ("hj", "collected"): "0a48393adf5ce0d296bcf409c169b9df9e5fc123d7d99503c5ddeeaefb622a3d",
 }

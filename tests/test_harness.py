@@ -326,7 +326,7 @@ class TestConfig:
             return real_sample(g, scfg)
 
         monkeypatch.setattr(harness, "sample", spy)
-        # shaped like the README example: FS names its mode, LS takes the default
+        # shaped like the README example: an omitted mode is the method's own rule
         cfg = ExperimentConfig.from_dict({
             "output_dir": str(tmp_path / "out"),
             "master_seed": 20,
@@ -334,11 +334,12 @@ class TestConfig:
             "repetitions": 1,
             "datasets": [{"name": "sw", "category": "synthetic",
                           "generator": {"model": "sw", "nodes": 300, "seed": 100}}],
-            "samplers": [{"method": "fs", "finalize_mode": "collected"}, {"method": "ls"}],
+            "samplers": [{"method": "fs"}, {"method": "ls"},
+                         {"method": "rd", "finalize_mode": "induced", "tag": "rd_induced"}],
         })
         res = run_experiment(cfg)
         assert not res.errors
-        assert seen == {"fs": "collected", "ls": "induced"}
+        assert seen == {"fs": "collected", "ls": "induced", "rd_induced": "induced"}
 
     def test_validation(self, tmp_path):
         cfg = tiny_config(tmp_path / "o", repetitions=0)
@@ -383,6 +384,34 @@ class TestConfig:
         })
         with pytest.raises(ValueError, match="sw_k must be even"):
             cfg.validate()
+        # a non-integer in an integer field fails here, not after the original reports
+        good = {"output_dir": str(tmp_path / "o"),
+                "datasets": [{"name": "mm", "generator": {"model": "mm", "nodes": 200}}],
+                "samplers": [{"method": "fs"}]}
+        for where, key, value in (("top", "repetitions", 2.5), ("top", "workers", 1.5),
+                                  ("top", "path_sources", 16.5), ("sampler", "fs_walkers", 2.5),
+                                  ("sampler", "hj_probes", 10.5), ("sampler", "hj_bfs_depth", 1.5),
+                                  ("sampler", "fs_stall_limit", 2.5), ("sampler", "rd_seeds", "3"),
+                                  ("generator", "nodes", 200.5), ("generator", "sw_k", 4.0)):
+            d = json.loads(json.dumps(good))
+            target = {"top": d, "sampler": d["samplers"][0],
+                      "generator": d["datasets"][0]["generator"]}[where]
+            target[key] = value
+            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                ExperimentConfig.from_dict(d).validate()
+        ExperimentConfig.from_dict(good).validate()
+        tiny_config(tmp_path / "o", repetitions=np.int64(2), workers=np.int32(1)).validate()
+
+    def test_names_must_be_file_names(self, tmp_path):
+        # dataset names and sampler labels name bundle files such as dists/cells/mm.ls.json
+        for bad in (".", "..", "ls/v2", f"ls{os.sep}v2"):
+            with pytest.raises(ValueError, match="plain file name"):
+                tiny_config(tmp_path / "o", samplers=(SamplerConfig("ls", tag=bad),)).validate()
+        for bad in ("", ".", "..", "mm/400", 400):
+            spec = DatasetSpec(name=bad, generator=GeneratorConfig(model="mm", nodes=400))
+            with pytest.raises(ValueError, match="plain file name"):
+                tiny_config(tmp_path / "o", datasets=(spec,)).validate()
+        tiny_config(tmp_path / "o", samplers=(SamplerConfig("ls", tag="ls.v2"),)).validate()
 
     def test_dataset_spec_needs_exactly_one_source(self):
         with pytest.raises(ValueError):

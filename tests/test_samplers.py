@@ -205,11 +205,15 @@ class TestListSampling:
         smp = list_sample(g, SamplerConfig("ls", phi=1.0, seed=0))
         assert smp.n_edges == g.m
 
-    def test_collected_mode_is_still_induced(self):
+    def test_collected_mode_keeps_traversal_edges(self):
         g = random_graph(30, 0.15, seed=2)
         a = list_sample(g, SamplerConfig("ls", phi=0.4, seed=1, finalize_mode="collected"))
-        b = list_sample(g, SamplerConfig("ls", phi=0.4, seed=1, finalize_mode="induced"))
-        assert np.array_equal(a.edges, b.edges)
+        b = list_sample(g, SamplerConfig("ls", phi=0.4, seed=1))   # the induction step is the default
+        assert b.mode == "induced" and np.array_equal(a.nodes, b.nodes)
+        # one edge per node reached from a sampled neighbour: a spanning forest of the induced edges
+        assert set(map(tuple, a.edges.tolist())) < set(map(tuple, b.edges.tolist()))
+        assert a.n_edges == a.n_nodes - 1 - a.telemetry.restarts
+        replay_check(g, a)
 
 
 class TestHybridJump:
@@ -231,7 +235,7 @@ class TestHybridJump:
 
 class TestFinalize:
     def triangle_raw(self, edges):
-        tel = Telemetry(method="xs")
+        tel = Telemetry()
         tel.visit_order = [0, 1, 2]
         return Sample(nodes=np.array([0, 1, 2]), edges=np.array(edges),
                       method="xs", phi=1.0, seed=0, mode="raw", telemetry=tel)
@@ -362,9 +366,27 @@ class TestUniversalContracts:
         dict(method="hj", hj_stall_limit=0),
         dict(method="xs", xs_seed_rule="weird"),
         dict(method="ls", finalize_mode="nope"),
+        dict(method="fs", fs_walkers=2.5),       # integer fields take Python or numpy ints only
+        dict(method="fs", fs_stall_limit=2.5),
+        dict(method="rd", rd_seeds="3"),
+        dict(method="hj", hj_probes=10.5),
+        dict(method="hj", hj_bfs_depth=1.5),
     ])
     def test_config_validation(self, kwargs):
         g = random_graph(30, 0.2, seed=1)
         cfg = SamplerConfig(**{"phi": 0.2, "seed": 0, **kwargs})
         with pytest.raises(ValueError):
             sample(g, cfg)
+
+    def test_integer_fields_name_the_field(self):
+        with pytest.raises(ValueError, match="hj_bfs_depth must be an integer"):
+            SamplerConfig("hj", hj_bfs_depth=1.5).validate()
+        g = random_graph(30, 0.2, seed=1)
+        smp = sample(g, SamplerConfig("fs", phi=0.2, seed=np.int64(4), fs_walkers=np.int32(3)))
+        assert smp.n_nodes == 6
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_omitted_mode_is_the_method_rule(self, method):
+        mode = "induced" if method in ("xs", "ls") else "collected"
+        assert SamplerConfig(method).finalize_mode == mode
+        assert SamplerConfig(method, finalize_mode=None) == SamplerConfig(method, finalize_mode=mode)
