@@ -6,7 +6,7 @@ Subcommands:
     properties  emit a JSON property report (and optional distribution CSVs)
     bench run   execute a full experiment config
     bench aggregate
-                rebuild the aggregate tables from a raw.csv
+                rebuild every table and ECDF file of a bundle from its raw.csv
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .generators import MODELS, GeneratorConfig, generate
 from .graph import dump_edge_list, load_edge_list
 from .harness import (
     ExperimentConfig,
-    aggregate,
     read_cell_distributions,
     read_originals,
     read_raw,
@@ -36,7 +35,10 @@ from .samplers import METHODS, SamplerConfig, sample
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:   # a bad option or config value, reported like a bad flag
+        parser.error(str(exc))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,10 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None, help="override config workers")
     p.set_defaults(func=_cmd_bench_run)
 
-    p = bsub.add_parser("aggregate", help="recompute tables from raw.csv")
+    p = bsub.add_parser("aggregate", help="rebuild the tables and dists/*.dist.csv from raw.csv, "
+                        "reading originals/ and dists/cells/ next to it")
     p.add_argument("--raw", required=True, help="path to raw.csv")
-    p.add_argument("--originals", default=None,
-                   help="originals/ directory (default: sibling of raw.csv)")
     p.add_argument("--out-dir", default=None, help="where to write tables (default: alongside raw)")
     p.set_defaults(func=_cmd_bench_aggregate)
 
@@ -115,8 +116,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_sample(args) -> int:
     g = load_edge_list(args.input)
-    cfg = SamplerConfig(method=args.method, phi=args.phi, seed=args.seed,
-                        finalize_mode=args.mode, **_given_options(args))
+    cfg = SamplerConfig(method=args.method, phi=args.phi, seed=args.seed, finalize_mode=args.mode,
+                        record_steps=False, **_given_options(args))   # the sidecar holds counters only
     smp = sample(g, cfg)
     orig = g.orig_ids
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -171,16 +172,11 @@ def _cmd_bench_run(args) -> int:
 
 
 def _cmd_bench_aggregate(args) -> int:
-    raw_path = Path(args.raw)
-    rows = read_raw(raw_path)
-    orig_dir = Path(args.originals) if args.originals else raw_path.parent / "originals"
-    originals = read_originals(orig_dir)
-    cell_dists = read_cell_distributions(raw_path.parent / "dists" / "cells", rows)
-    tables = aggregate(rows, originals, cell_dists=cell_dists)
-    labels = list(dict.fromkeys(r.method for r in rows))   # order of first appearance
-    out = Path(args.out_dir) if args.out_dir else raw_path.parent
-    out.mkdir(parents=True, exist_ok=True)
-    write_tables(out, tables, labels)
+    bundle = Path(args.raw).parent
+    rows = read_raw(args.raw)
+    out = Path(args.out_dir) if args.out_dir else bundle
+    tables = write_tables(out, rows, read_originals(bundle / "originals"),
+                          read_cell_distributions(bundle / "dists" / "cells", rows))
     print(f"wrote tables to {out}")
     for w in tables.warnings:
         print(f"warning: {w}", file=sys.stderr)

@@ -187,6 +187,10 @@ class ReportRow:
     value: float | None
 
 
+# per-repetition distributions at the lowest phi: (dataset, method) -> rep -> kind -> distribution
+CellDists = dict[tuple[str, str], dict[int, dict[str, Distribution]]]
+
+
 @dataclass
 class Tables:
     point_stats: list[dict]
@@ -368,22 +372,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rows: list[ReportRow] = []
     errors: list[dict] = []
     timings: list[dict] = []
-    cell_dists: dict[tuple[str, str], dict[int, dict[str, Distribution]]] = {}
+    cell_dists: CellDists = {}
     for (ds, scfg, phi, rep_i), res in zip(jobs, results):
-        label = scfg.label
-        timings.append({
-            "dataset": ds, "method": label, "phi": phi, "rep": rep_i,
-            "sample_seconds": round(res.sample_seconds, 6),
-            "properties_seconds": round(res.properties_seconds, 6),
-        })
+        at = {"dataset": ds, "method": scfg.label, "phi": phi, "rep": rep_i}
+        timings.append({**at, "sample_seconds": round(res.sample_seconds, 6),
+                        "properties_seconds": round(res.properties_seconds, 6)})
         if res.error is not None:
-            errors.append({"dataset": ds, "method": label, "phi": phi, "rep": rep_i,
-                           "stage": res.stage, "message": res.error})
+            errors.append({**at, "stage": res.stage, "message": res.error})
             continue
-        for prop in PROPERTY_ORDER:
-            rows.append(ReportRow(ds, label, phi, rep_i, prop, res.scalars[prop]))
+        rows += [ReportRow(**at, property=prop, value=res.scalars[prop]) for prop in PROPERTY_ORDER]
         if res.distributions is not None:
-            cell_dists.setdefault((ds, label), {})[rep_i] = res.distributions
+            cell_dists.setdefault((ds, scfg.label), {})[rep_i] = res.distributions
 
     _write_dicts(out / "raw.csv", [dataclasses.asdict(r) for r in rows],
                  [f.name for f in dataclasses.fields(ReportRow)])
@@ -394,9 +393,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                      ["dataset", "method", "phi", "rep", "stage", "message"])
 
     _write_cell_distributions(out / "dists" / "cells", cell_dists)
-    tables = aggregate(rows, originals, cell_dists=cell_dists)
-    write_tables(out, tables, [s.label for s in cfg.samplers])
-    _write_distribution_files(out / "dists", originals, cell_dists)
+    tables = write_tables(out, rows, originals, cell_dists)
 
     meta = {
         "config": cfg.to_dict(),
@@ -429,11 +426,8 @@ def _versions() -> dict:
 # Aggregation
 
 
-def aggregate(
-    rows: Iterable[ReportRow],
-    originals: dict[str, PropertyReport],
-    cell_dists: dict[tuple[str, str], dict[int, dict[str, Distribution]]] | None = None,
-) -> Tables:
+def aggregate(rows: Iterable[ReportRow], originals: dict[str, PropertyReport],
+              cell_dists: CellDists) -> Tables:
     """Fold raw rows into the paper-style tables.
 
     Scaling ratios get a per-(dataset, method, phi, property) mean and
@@ -515,8 +509,6 @@ def aggregate(
                     rep_rmses = [rmse(vs, t) for vs in per_rep.values() if vs]
                     row["rmse_std"] = float(np.std(rep_rmses, ddof=1)) if len(rep_rmses) > 1 else 0.0
 
-            if not cell_dists:
-                continue
             by_rep = cell_dists.get((ds, method), {})
             for kind in DISTRIBUTION_KINDS:
                 vals = [jsd(d[kind], orig.distributions[kind]) for _, d in sorted(by_rep.items())]
@@ -580,16 +572,29 @@ def _write_dicts(path: Path, rows: list[dict], columns: list[str]) -> None:
             w.writerow([_fmt(r.get(c)) for c in columns])
 
 
-def write_tables(out: Path, tables: Tables, method_labels: Sequence[str]) -> None:
-    """Write point_stats.csv, rmse.csv, jsd.csv and summary.csv under ``out``."""
+def write_tables(out: Path, rows: Iterable[ReportRow], originals: dict[str, PropertyReport],
+                 cell_dists: CellDists) -> Tables:
+    """Aggregate ``rows`` and write every file derived from them under ``out``:
+    point_stats.csv, rmse.csv, jsd.csv, summary.csv and dists/*.dist.csv."""
+    tables = aggregate(rows, originals, cell_dists)
+    dist_dir = out / "dists"
+    dist_dir.mkdir(parents=True, exist_ok=True)
     _write_dicts(out / "point_stats.csv", tables.point_stats,
                  ["dataset", "method", "phi", "property", "scaling_ratio_mean", "ci95", "n"])
     _write_dicts(out / "rmse.csv", tables.rmse,
                  ["dataset", "method", "property", "rmse", "rmse_std"])
     _write_dicts(out / "jsd.csv", tables.jsd,
                  ["dataset", "method", "distribution", "jsd_mean", "jsd_std"])
-    _write_dicts(out / "summary.csv", tables.summary,
-                 ["metric", "property"] + list(method_labels))
+    # metric, property, then one column per method in order of first appearance
+    _write_dicts(out / "summary.csv", tables.summary, list(tables.summary[0]))
+    for ds, rep in sorted(originals.items()):
+        for kind, dist in rep.distributions.items():
+            write_distribution_csv(dist_dir / f"{ds}.original.{kind}.dist.csv", dist)
+    for (ds, method), reps in sorted(cell_dists.items()):
+        for kind in DISTRIBUTION_KINDS:
+            write_distribution_csv(dist_dir / f"{ds}.{method}.{kind}.dist.csv",
+                                   _mean_distribution([d[kind] for _, d in sorted(reps.items())]))
+    return tables
 
 
 def write_distribution_csv(path: Path, dist: Distribution) -> None:
@@ -608,26 +613,7 @@ def _mean_distribution(dists: Sequence[Distribution]) -> Distribution:
     return Distribution(support=support, pmf=acc)
 
 
-def _write_distribution_files(
-    dist_dir: Path,
-    originals: dict[str, PropertyReport],
-    cell_dists: dict[tuple[str, str], dict[int, dict[str, Distribution]]],
-) -> None:
-    for ds, rep in sorted(originals.items()):
-        for kind, dist in rep.distributions.items():
-            write_distribution_csv(dist_dir / f"{ds}.original.{kind}.dist.csv", dist)
-    for (ds, method), reps in sorted(cell_dists.items()):
-        for kind in DISTRIBUTION_KINDS:
-            per_rep = [d[kind] for _, d in sorted(reps.items())]
-            if per_rep:
-                write_distribution_csv(dist_dir / f"{ds}.{method}.{kind}.dist.csv",
-                                       _mean_distribution(per_rep))
-
-
-def _write_cell_distributions(
-    cell_dir: Path,
-    cell_dists: dict[tuple[str, str], dict[int, dict[str, Distribution]]],
-) -> None:
+def _write_cell_distributions(cell_dir: Path, cell_dists: CellDists) -> None:
     for (ds, method), reps in sorted(cell_dists.items()):
         payload = {
             str(rep): {kind: d[kind].to_dict() for kind in DISTRIBUTION_KINDS}
@@ -637,15 +623,13 @@ def _write_cell_distributions(
             json.dump(payload, fh)
 
 
-def read_cell_distributions(
-    cell_dir: str | Path, rows: Iterable[ReportRow],
-) -> dict[tuple[str, str], dict[int, dict[str, Distribution]]]:
+def read_cell_distributions(cell_dir: str | Path, rows: Iterable[ReportRow]) -> CellDists:
     """Per-repetition distributions of each (dataset, method) in ``rows`` that has a file.
 
     File names are looked up from the pairs rather than split, since a
     dataset name or sampler tag may itself contain dots.
     """
-    out: dict[tuple[str, str], dict[int, dict[str, Distribution]]] = {}
+    out: CellDists = {}
     cell_dir = Path(cell_dir)
     for ds, method in dict.fromkeys((r.dataset, r.method) for r in rows):
         path = cell_dir / f"{ds}.{method}.json"

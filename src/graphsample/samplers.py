@@ -602,8 +602,9 @@ _DISPATCH: dict[str, Callable[[Graph, SamplerConfig], Sample]] = {
 
 
 def sample(g: Graph, cfg: SamplerConfig) -> Sample:
-    """Run the configured sampler."""
-    cfg.validate()
+    """Run the configured sampler; its ``_Run`` validates the config."""
+    if cfg.method not in METHODS:
+        raise ValueError(f"unknown method {cfg.method!r}")
     return _DISPATCH[cfg.method](g, cfg)
 
 

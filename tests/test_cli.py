@@ -3,10 +3,11 @@ import json
 
 import pytest
 
+from graphsample import harness
 from graphsample.cli import main
 from graphsample.generators import MODELS, GeneratorConfig, generate
 from graphsample.graph import dump_edge_list, load_edge_list
-from graphsample.samplers import METHODS, SamplerConfig
+from graphsample.samplers import METHODS, SamplerConfig, sample
 
 # a valid non-default value for every method- or model-prefixed config field
 OPTION_VALUES = {
@@ -27,6 +28,14 @@ def sw_file(tmp_path):
     assert main(["generate", "--model", "sw", "--nodes", "120", "--seed", "3",
                  "--out", str(out)]) == 0
     return out
+
+
+def usage_error(argv, capsys) -> str:
+    """The one-line error that ``main`` prints for ``argv``, which must exit with status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
 
 
 def test_generate_writes_normalized_dump(sw_file):
@@ -79,15 +88,30 @@ def test_every_generator_option_has_a_flag(tmp_path, name):
         assert ((tmp_path / "ref.txt").read_bytes() == out.read_bytes()) is expected
 
 
-def test_sample_mode_defaults_to_the_method_rule(sw_file, tmp_path):
+def test_sample_mode_defaults_to_the_method_rule(sw_file, tmp_path, capsys):
     for method, mode in (("ls", "induced"), ("hj", "collected")):
         out = tmp_path / f"{method}.txt"
         assert main(["sample", "--input", str(sw_file), "--method", method, "--phi", "0.1",
                      "--out", str(out)]) == 0
         assert json.loads((tmp_path / f"{method}.txt.json").read_text())["mode"] == mode
-    with pytest.raises(ValueError, match="xs_seed_rule"):
-        main(["sample", "--input", str(sw_file), "--method", "xs", "--phi", "0.1",
-              "--xs-seed-rule", "max-degree", "--out", str(out)])
+    assert (usage_error(["sample", "--input", str(sw_file), "--method", "xs", "--phi", "0.1",
+                         "--xs-seed-rule", "max-degree", "--out", str(out)], capsys)
+            == "graphsample: error: unknown xs_seed_rule 'max-degree'")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_sample_output_matches_a_logged_run(sw_file, tmp_path, method):
+    out = tmp_path / "smp.txt"
+    assert main(["sample", "--input", str(sw_file), "--method", method, "--phi", "0.2",
+                 "--seed", "5", "--out", str(out)]) == 0
+    g = load_edge_list(sw_file)
+    logged = sample(g, SamplerConfig(method, phi=0.2, seed=5, record_steps=True))
+    orig = g.orig_ids
+    pairs = [sorted((int(orig[u]), int(orig[v]))) for u, v in logged.edges]
+    assert out.read_text().splitlines()[1:] == [f"{a} {b}" for a, b in pairs]
+    sidecar = json.loads((tmp_path / "smp.txt.json").read_text())
+    assert sidecar["nodes"] == [int(orig[v]) for v in logged.nodes]
+    assert sidecar["config"]["record_steps"] is False
 
 
 def test_properties_report(sw_file, tmp_path):
@@ -103,9 +127,20 @@ def test_properties_report(sw_file, tmp_path):
         "sw.clustering.dist.csv", "sw.degree.dist.csv", "sw.path_length.dist.csv"]
 
 
-def test_properties_rejects_zero_path_sources(sw_file):
-    with pytest.raises(ValueError, match="sources"):
-        main(["properties", "--input", str(sw_file), "--path-sources", "0"])
+def test_properties_rejects_zero_path_sources(sw_file, capsys):
+    assert (usage_error(["properties", "--input", str(sw_file), "--path-sources", "0"], capsys)
+            == "graphsample: error: path sources must be >= 1, not 0")
+
+
+def test_bad_option_values_are_usage_errors(sw_file, tmp_path, capsys):
+    assert (usage_error(["sample", "--input", str(sw_file), "--method", "rd", "--phi", "0.1",
+                         "--rd-rho", "0", "--out", str(tmp_path / "s.txt")], capsys)
+            == "graphsample: error: rd_rho must be in (0, 1]")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"datasets": [{"name": "x", "path": str(sw_file)}],
+                                    "samplers": [{"method": "ls"}], "bogus_knob": 1}))
+    assert (usage_error(["bench", "run", "--config", str(cfg_path)], capsys)
+            == "graphsample: error: unknown experiment config keys: ['bogus_knob']")
 
 
 def test_bench_run_and_aggregate(tmp_path):
@@ -131,6 +166,35 @@ def test_bench_run_and_aggregate(tmp_path):
     assert main(["bench", "aggregate", "--raw", str(out / "raw.csv"),
                  "--out-dir", str(agg_dir)]) == 0
     assert (agg_dir / "summary.csv").read_bytes() == before
+
+
+def test_failed_sampler_gets_the_same_summary_from_run_and_aggregate(tmp_path, monkeypatch):
+    real_sample = harness.sample
+
+    def sample_or_fail(g, scfg):
+        if scfg.method == "rd":
+            raise RuntimeError("rd is down")
+        return real_sample(g, scfg)
+
+    monkeypatch.setattr(harness, "sample", sample_or_fail)   # workers=1 keeps cells in this process
+    cfg = {
+        "output_dir": str(tmp_path / "out"),
+        "phis": [0.1],
+        "repetitions": 2,
+        "workers": 1,
+        "datasets": [{"name": "mm", "generator": {"model": "mm", "nodes": 200, "seed": 1}}],
+        "samplers": [{"method": "rd"}, {"method": "ls"}],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["bench", "run", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    assert len((out / "errors.csv").read_text().splitlines()) == 1 + 2
+    assert main(["bench", "aggregate", "--raw", str(out / "raw.csv"),
+                 "--out-dir", str(tmp_path / "reagg")]) == 0
+    summary = (out / "summary.csv").read_text()
+    assert summary.splitlines()[0] == "metric,property,ls"
+    assert (tmp_path / "reagg" / "summary.csv").read_text() == summary
 
 
 def test_bench_run_reports_dataset_failure(tmp_path):

@@ -9,6 +9,9 @@ timings.csv and meta.json carry wall-clock data and are not pinned.
 import hashlib
 from pathlib import Path
 
+import pytest
+
+from graphsample.cli import main
 from graphsample.generators import GeneratorConfig
 from graphsample.harness import DatasetSpec, ExperimentConfig, default_method_suite, run_experiment
 
@@ -142,7 +145,27 @@ def bundle_digests(out: Path) -> dict[str, str]:
             for p in files}
 
 
-def test_bundle_matches_pins(tmp_path):
-    res = run_experiment(sweep_config(tmp_path / "out"))
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("golden") / "out"
+    res = run_experiment(sweep_config(out))
     assert res.failures == [] and res.errors == []
-    assert bundle_digests(tmp_path / "out") == GOLDEN
+    return out
+
+
+def test_bundle_matches_pins(bundle):
+    assert bundle_digests(bundle) == GOLDEN
+
+
+def test_aggregate_rebuilds_every_derived_file(bundle, tmp_path):
+    """``bench aggregate`` rebuilds the tables and ECDF files from raw.csv, originals/ and
+    dists/cells/ alone; raw.csv and dists/cells/ are its inputs, not its output."""
+    fresh = tmp_path / "fresh"
+    assert main(["bench", "aggregate", "--raw", str(bundle / "raw.csv"),
+                 "--out-dir", str(fresh)]) == 0
+    derived = {k: v for k, v in GOLDEN.items()
+               if k != "raw.csv" and not k.startswith("dists/cells/")}
+    assert len(derived) == 40
+    written = {p.relative_to(fresh).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in fresh.rglob("*") if p.is_file()}
+    assert written == derived

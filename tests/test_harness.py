@@ -262,9 +262,10 @@ class TestAggregate:
 
     def test_missing_cells_leave_gaps(self, tmp_path):
         res = run_experiment(tiny_config(tmp_path / "out"))
+        dists = read_cell_distributions(res.output_dir / "dists" / "cells", res.rows)
 
         def missing(rows):
-            tables = aggregate(rows, res.originals)
+            tables = aggregate(rows, res.originals, dists)
             rmse_row = next(r for r in tables.rmse if r["property"] == "avg_degree")
             return [w for w in tables.warnings if w.startswith("missing cell")], rmse_row["rmse"]
 
@@ -278,6 +279,12 @@ class TestAggregate:
         assert warned == ["missing cell: mm400/ls/phi=0.05/avg_degree",
                           "missing cell: mm400/ls/phi=0.1/avg_degree"]
         assert value is None
+        # no distributions: jsd.csv keeps one gap row per distribution
+        tables = aggregate(res.rows, res.originals, {})
+        assert [(r["distribution"], r["jsd_mean"]) for r in tables.jsd] == [
+            ("degree", None), ("clustering", None), ("path_length", None)]
+        assert [w for w in tables.warnings if w.startswith("jsd gap")] == [
+            "jsd gap: mm400/ls/degree", "jsd gap: mm400/ls/clustering", "jsd gap: mm400/ls/path_length"]
 
 
 class TestConfig:

@@ -385,6 +385,17 @@ class TestUniversalContracts:
         smp = sample(g, SamplerConfig("fs", phi=0.2, seed=np.int64(4), fs_walkers=np.int32(3)))
         assert smp.n_nodes == 6
 
+    def test_sample_validates_the_config_once(self, monkeypatch):
+        calls = []
+        real_validate = SamplerConfig.validate
+        monkeypatch.setattr(SamplerConfig, "validate",
+                            lambda cfg: calls.append(cfg) or real_validate(cfg))
+        g = generate(GeneratorConfig("sw", 200, seed=1))
+        sample(g, SamplerConfig("ls"))
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="unknown method 'zz'"):
+            sample(g, SamplerConfig("zz"))
+
     @pytest.mark.parametrize("method", METHODS)
     def test_omitted_mode_is_the_method_rule(self, method):
         mode = "induced" if method in ("xs", "ls") else "collected"
