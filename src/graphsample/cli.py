@@ -37,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:   # a bad option or config value, reported like a bad flag
+    except (ValueError, OSError) as exc:   # a bad option, config value or file, reported like a bad flag
         parser.error(str(exc))
 
 

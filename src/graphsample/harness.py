@@ -1,8 +1,9 @@
 """Benchmark orchestration: sweeps over (dataset, method, phi, repetition).
 
 A run loads or generates every dataset, computes (and caches) the
-original property report, executes all sampling cells with seeds derived
-from the master seed, and writes a machine-readable report bundle:
+original property reports and executes all sampling cells on one worker
+pool, with seeds derived from the master seed, and writes a
+machine-readable report bundle:
 
     raw.csv          dataset,method,phi,rep,property,value
     point_stats.csv  scaling-ratio means with 95% CI half-widths
@@ -253,29 +254,18 @@ def _graph_fingerprint(g: Graph) -> str:
     return h.hexdigest()[:24]
 
 
-def _original_report(
-    g: Graph, spec: DatasetSpec, cfg: ExperimentConfig, cache_dir: Path
-) -> tuple[PropertyReport, bool]:
-    """Compute or fetch the cached original-graph report. Returns (report, hit)."""
-    seed = derive_seed(cfg.master_seed, spec.name, "original")
+def _original_cache_path(g: Graph, name: str, cfg: ExperimentConfig, cache_dir: Path) -> Path:
+    seed = derive_seed(cfg.master_seed, name, "original")
     # the package and report versions key the cache so a changed property kernel never reuses old reports
     key = (_graph_fingerprint(g) + f"-{cfg.path_mode}-{cfg.path_sources}-{seed}"
            f"-{_pkg_version}-r{REPORT_VERSION}")
-    path = cache_dir / f"{spec.name}.{hashlib.sha256(key.encode()).hexdigest()[:16]}.json"
-    if path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
-            return PropertyReport.from_dict(json.load(fh)), True
-    rep = property_report(g, path_mode=cfg.path_mode, path_sources=cfg.path_sources, seed=seed)
-    # atomic, so a killed run never leaves a truncated file that reads as a hit
-    with _atomic_open(path) as fh:
-        json.dump(rep.to_dict(), fh)
-    return rep, False
+    return cache_dir / f"{name}.{hashlib.sha256(key.encode()).hexdigest()[:16]}.json"
 
 
 # ---------------------------------------------------------------------------
-# Cell execution. The config and graphs are staged in a module global before
-# forking so pool workers inherit them copy-on-write; a job is only a cell's
-# coordinates (dataset, sampler, phi, rep).
+# Sweep execution. The config and graphs are staged in a module global before
+# forking so pool workers inherit them copy-on-write; a job is only a dataset
+# name (its original report) or a cell's coordinates (dataset, sampler, phi, rep).
 
 _SWEEP: tuple[ExperimentConfig, dict[str, Graph]] | None = None
 
@@ -315,13 +305,38 @@ def _run_cell(job: tuple[str, SamplerConfig, float, int]) -> _CellResult:
     return _CellResult(rep.scalars, dists, t1 - t0, t2 - t1)
 
 
-def _execute_cells(jobs: list[tuple], workers: int) -> list[_CellResult]:
-    """Run the cells; a worker that dies raises BrokenProcessPool instead of hanging."""
-    if workers <= 1 or len(jobs) <= 1:
+def _run_original(ds: str) -> tuple[PropertyReport, float]:
+    cfg, graphs = _SWEEP
+    t0 = time.perf_counter()
+    rep = property_report(graphs[ds], path_mode=cfg.path_mode, path_sources=cfg.path_sources,
+                          seed=derive_seed(cfg.master_seed, ds, "original"))
+    return rep, time.perf_counter() - t0
+
+
+def _execute(missing: list[str], jobs: list[tuple], workers: int, keep) -> list[_CellResult]:
+    """Run the missing original reports, then the cells, on one pool.
+
+    The originals are the longest jobs, so they are queued first, one per job.
+    ``keep(ds, report, seconds)`` takes each one in the driver before the
+    cells are awaited, so a sweep that fails later still caches them. A job
+    that raises, or a worker that dies (BrokenProcessPool), cancels the
+    queued jobs and fails the sweep instead of hanging it.
+    """
+    if workers <= 1 or len(missing) + len(jobs) <= 1:
+        for ds in missing:
+            keep(ds, *_run_original(ds))
         return [_run_cell(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_run_cell, jobs, chunksize=max(1, len(jobs) // (workers * 8))))
+        reports = pool.map(_run_original, missing)
+        cells = pool.map(_run_cell, jobs, chunksize=max(1, len(jobs) // (workers * 8)))
+        try:
+            for ds, (rep, seconds) in zip(missing, reports):
+                keep(ds, rep, seconds)
+            return list(cells)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +355,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     originals: dict[str, PropertyReport] = {}
     dataset_meta: dict[str, dict] = {}
     graphs: dict[str, Graph] = {}
+    cache_paths: dict[str, Path] = {}
 
     for spec in cfg.datasets:
         try:
@@ -348,26 +364,39 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             failures.append(f"dataset {spec.name}: {type(exc).__name__}: {exc}")
             continue
         graphs[spec.name] = g
-        rep, hit = _original_report(g, spec, cfg, out / "cache")
-        originals[spec.name] = rep
-        with _atomic_open(out / "originals" / f"{spec.name}.json") as fh:
-            json.dump(rep.to_dict(), fh)
+        path = cache_paths[spec.name] = _original_cache_path(g, spec.name, cfg, out / "cache")
+        if path.exists():
+            with open(path, "r", encoding="utf-8") as fh:
+                originals[spec.name] = PropertyReport.from_dict(json.load(fh))
         dataset_meta[spec.name] = {
             "n": g.n,
             "m": g.m,
             "category": spec.category,
-            "original_cache_hit": hit,
+            "original_cache_hit": spec.name in originals,
+            "original_seconds": 0.0,
             "load_stats": dataclasses.asdict(g.load_stats) if g.load_stats else None,
         }
+
+    def keep(ds: str, rep: PropertyReport, seconds: float) -> None:
+        # atomic, so a killed run never leaves a truncated file that reads as a hit
+        with _atomic_open(cache_paths[ds]) as fh:
+            json.dump(rep.to_dict(), fh)
+        originals[ds] = rep
+        dataset_meta[ds]["original_seconds"] = round(seconds, 6)
 
     global _SWEEP
     _SWEEP = (cfg, graphs)
     jobs = [(ds, scfg, phi, rep_i) for ds in graphs for scfg in cfg.samplers
             for phi in cfg.phis for rep_i in range(cfg.repetitions)]
     try:
-        results = _execute_cells(jobs, cfg.workers)
+        results = _execute([ds for ds in graphs if ds not in originals], jobs, cfg.workers, keep)
     finally:
         _SWEEP = None   # do not keep every dataset's CSR alive past the sweep
+
+    originals = {ds: originals[ds] for ds in graphs}   # config order, cache hits and new alike
+    for ds, rep in originals.items():
+        with _atomic_open(out / "originals" / f"{ds}.json") as fh:
+            json.dump(rep.to_dict(), fh)
 
     rows: list[ReportRow] = []
     errors: list[dict] = []
@@ -407,7 +436,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "elapsed_seconds": round(time.time() - started, 3),
     }
     with _atomic_open(out / "meta.json") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2)   # unsorted, so datasets stay in config order
 
     return ExperimentResult(config=cfg, rows=rows, originals=originals, tables=tables,
                             failures=failures, errors=errors, output_dir=out)

@@ -143,6 +143,16 @@ def test_bad_option_values_are_usage_errors(sw_file, tmp_path, capsys):
             == "graphsample: error: unknown experiment config keys: ['bogus_knob']")
 
 
+def test_unreadable_files_are_usage_errors(tmp_path, capsys):
+    missing = tmp_path / "nope.txt"
+    assert (usage_error(["sample", "--input", str(missing), "--method", "ls", "--phi", "0.1",
+                         "--out", str(tmp_path / "s.txt")], capsys)
+            == f"graphsample: error: [Errno 2] No such file or directory: '{missing}'")
+    missing = tmp_path / "nope.json"
+    assert (usage_error(["bench", "run", "--config", str(missing)], capsys)
+            == f"graphsample: error: [Errno 2] No such file or directory: '{missing}'")
+
+
 def test_bench_run_and_aggregate(tmp_path):
     cfg = {
         "output_dir": str(tmp_path / "out"),

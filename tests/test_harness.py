@@ -3,8 +3,10 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import statistics
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -27,12 +29,39 @@ from graphsample.metrics import RATIO_SHIFTS
 from graphsample.samplers import SamplerConfig
 
 
+MM400 = DatasetSpec(name="mm400", category="synthetic",
+                    generator=GeneratorConfig(model="mm", nodes=400, seed=2))
+# configs list it before mm400, the reverse of sorted order
+SW300 = DatasetSpec(name="sw300", category="synthetic",
+                    generator=GeneratorConfig(model="sw", nodes=300, seed=5))
+
+
+def original_fails(ds):
+    """Stands in for harness._run_original; module level, so a pool can pickle it."""
+    raise RuntimeError(f"original {ds} failed")
+
+
+def cell_fails(job):
+    """Stands in for harness._run_cell; module level, so a pool can pickle it."""
+    raise RuntimeError("cell failed")
+
+
+def slow_cell(job):
+    """Stands in for harness._run_cell: leaves a mark in the output directory for each cell that ran."""
+    time.sleep(0.1)
+    cfg, _ = harness._SWEEP
+    (Path(cfg.output_dir) / f"ran.{job[2]}.{job[3]}").touch()
+
+
+def bundle_files(out: Path) -> dict[str, bytes]:
+    """Every deterministic file of a bundle, cache included, by relative path."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name not in ("timings.csv", "meta.json")}
+
+
 def tiny_config(out_dir, **overrides):
     base = dict(
-        datasets=(
-            DatasetSpec(name="mm400", category="synthetic",
-                        generator=GeneratorConfig(model="mm", nodes=400, seed=2)),
-        ),
+        datasets=(MM400,),
         samplers=(SamplerConfig(method="ls"),),
         phis=(0.05, 0.1),
         repetitions=2,
@@ -100,16 +129,41 @@ class TestRunExperiment:
         assert read_raw(r2.output_dir / "raw.csv") == r1.rows
 
     def test_workers_do_not_change_results(self, tmp_path):
-        r1 = run_experiment(tiny_config(tmp_path / "w1", workers=1))
-        r2 = run_experiment(tiny_config(tmp_path / "w2", workers=2))
-        assert (r1.output_dir / "raw.csv").read_bytes() == (r2.output_dir / "raw.csv").read_bytes()
+        # mm400's original is cached before the sweep, sw300's is computed in it
+        warm = run_experiment(tiny_config(tmp_path / "warm", phis=(0.1,), repetitions=1))
+        bundles = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            shutil.copytree(warm.output_dir / "cache", out / "cache")
+            res = run_experiment(tiny_config(out, datasets=(SW300, MM400), workers=workers))
+            assert list(res.originals) == ["sw300", "mm400"]
+            meta = json.loads((out / "meta.json").read_text())
+            assert list(meta["datasets"]) == ["sw300", "mm400"]
+            assert {ds: d["original_cache_hit"] for ds, d in meta["datasets"].items()} == {
+                "sw300": False, "mm400": True}
+            bundles[workers] = bundle_files(out)
+        assert bundles[1] == bundles[2]
+        assert {"originals/sw300.json", "originals/mm400.json", "raw.csv", "summary.csv"} <= set(bundles[1])
+        assert sorted(p.split(".")[0] for p in bundles[1] if p.startswith("cache/")) == [
+            "cache/mm400", "cache/sw300"]
+
+    def test_failed_original_stops_the_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_run_original", original_fails)
+        monkeypatch.setattr(harness, "_run_cell", slow_cell)
+        with pytest.raises(RuntimeError, match="original mm400 failed"):
+            run_experiment(tiny_config(tmp_path / "out", repetitions=10, workers=2))
+        assert harness._SWEEP is None
+        assert not list((tmp_path / "out" / "cache").iterdir())
+        # the cells still queued behind the failed original were cancelled
+        assert len(list((tmp_path / "out").glob("ran.*"))) < 20
 
     def test_original_report_cached(self, tmp_path):
         cfg = tiny_config(tmp_path / "out")
-        run_experiment(cfg)
-        res = run_experiment(cfg)  # same output dir: cache hit
-        meta = json.loads((res.output_dir / "meta.json").read_text())
-        assert meta["datasets"]["mm400"]["original_cache_hit"] is True
+        for hit in (False, True):   # the second run reuses the output dir: cache hit
+            res = run_experiment(cfg)
+            entry = json.loads((res.output_dir / "meta.json").read_text())["datasets"]["mm400"]
+            assert entry["original_cache_hit"] is hit
+            assert (entry["original_seconds"] == 0.0) is hit   # seconds spent on it in this run
 
     def test_original_cache_keyed_by_package_version(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path / "out", phis=(0.1,), repetitions=1)
@@ -134,11 +188,7 @@ class TestRunExperiment:
     def test_dataset_failure_is_isolated(self, tmp_path):
         cfg = tiny_config(
             tmp_path / "out",
-            datasets=(
-                DatasetSpec(name="missing", path=str(tmp_path / "nope.txt")),
-                DatasetSpec(name="mm400", category="synthetic",
-                            generator=GeneratorConfig(model="mm", nodes=400, seed=2)),
-            ),
+            datasets=(DatasetSpec(name="missing", path=str(tmp_path / "nope.txt")), MM400),
         )
         res = run_experiment(cfg)
         assert len(res.failures) == 1 and "missing" in res.failures[0]
@@ -161,50 +211,63 @@ class TestRunExperiment:
         run_experiment(tiny_config(tmp_path / "ok", phis=(0.1,), repetitions=1))
         assert harness._SWEEP is None
 
-        def crash(job):
-            raise RuntimeError("cell crashed")
-
-        monkeypatch.setattr(harness, "_run_cell", crash)
-        with pytest.raises(RuntimeError, match="cell crashed"):
+        monkeypatch.setattr(harness, "_run_cell", cell_fails)
+        with pytest.raises(RuntimeError, match="cell failed"):
             run_experiment(tiny_config(tmp_path / "bad", phis=(0.1,), repetitions=1))
         assert harness._SWEEP is None
 
-    def test_dead_worker_fails_the_sweep_instead_of_hanging(self, tmp_path):
-        """A cell that SIGKILLs its own pool worker (as the OOM killer would).
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_cell_keeps_the_finished_originals(self, tmp_path, monkeypatch, workers):
+        cfg = tiny_config(tmp_path / "out", phis=(0.1,), repetitions=1, workers=workers)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_run_cell", cell_fails)
+            with pytest.raises(RuntimeError, match="cell failed"):
+                run_experiment(cfg)
+        run_experiment(cfg)
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["datasets"]["mm400"]["original_cache_hit"] is True
 
-        The sweep runs in a forked child with a deadline, so a sweep that
-        waits forever for the lost cell fails this test instead of hanging it.
+    def test_dead_worker_fails_the_sweep_instead_of_hanging(self, tmp_path):
+        """A cell, then an original report, that SIGKILLs its own pool worker
+        (as the OOM killer would).
+
+        Each sweep runs in a forked child with a deadline, so a sweep that
+        waits forever for the lost job fails this test instead of hanging it.
         """
         ctx = multiprocessing.get_context("fork")
-        recv, send = ctx.Pipe(duplex=False)
+        deaths = {"sample": derive_seed(11, "mm400", "ls", 0.1, 1),
+                  "property_report": derive_seed(11, "mm400", "original")}
+        for name, seed in deaths.items():
+            recv, send = ctx.Pipe(duplex=False)
 
-        def sweep():
-            os.setpgrp()   # the child and its pool workers form one group, killed together
-            driver, real_sample = os.getpid(), harness.sample
+            def sweep():
+                os.setpgrp()   # the child and its pool workers form one group, killed together
+                driver, real = os.getpid(), getattr(harness, name)
 
-            def sample_or_die(g, scfg):
-                if os.getpid() != driver and scfg.seed == derive_seed(11, "mm400", "ls", 0.1, 1):
-                    os.kill(os.getpid(), signal.SIGKILL)
-                return real_sample(g, scfg)
+                def die_in_a_worker(g, *args, **kwargs):
+                    job_seed = kwargs["seed"] if name == "property_report" else args[0].seed
+                    if os.getpid() != driver and job_seed == seed:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    return real(g, *args, **kwargs)
 
-            harness.sample = sample_or_die
+                setattr(harness, name, die_in_a_worker)
+                try:
+                    run_experiment(tiny_config(tmp_path / name, workers=2))
+                    send.send("returned")
+                except BrokenProcessPool:
+                    send.send(f"broken, staged graphs released: {harness._SWEEP is None}")
+                except Exception as exc:
+                    send.send(repr(exc))
+
+            child = ctx.Process(target=sweep)
+            child.start()
             try:
-                run_experiment(tiny_config(tmp_path / "out", workers=2))
-                send.send("returned")
-            except BrokenProcessPool:
-                send.send(f"broken, staged graphs released: {harness._SWEEP is None}")
-            except Exception as exc:
-                send.send(repr(exc))
-
-        child = ctx.Process(target=sweep)
-        child.start()
-        try:
-            got = recv.recv() if recv.poll(60) else "hung"
-        finally:
-            if child.is_alive():
-                os.killpg(child.pid, signal.SIGKILL)
-            child.join()
-        assert got == "broken, staged graphs released: True"
+                got = recv.recv() if recv.poll(60) else "hung"
+            finally:
+                if child.is_alive():
+                    os.killpg(child.pid, signal.SIGKILL)
+                child.join()
+            assert got == "broken, staged graphs released: True", name
 
 
 class TestAggregate:
