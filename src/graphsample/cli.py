@@ -28,7 +28,7 @@ from .harness import (
     write_distribution_csv,
     write_tables,
 )
-from .properties import property_report
+from .properties import EXACT_PATH_LIMIT, PATH_MODES, property_report
 from .samplers import METHODS, SamplerConfig, sample
 
 
@@ -67,9 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("properties", help="compute the property report of a graph")
     p.add_argument("--input", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact-paths", action="store_true")
-    group.add_argument("--path-sources", type=int, default=None)
+    p.add_argument("--path-mode", choices=PATH_MODES, default="auto",
+                   help=f"as in a bench config; auto is exact up to a {EXACT_PATH_LIMIT}-node LCC")
+    p.add_argument("--path-sources", type=int, default=256, help="BFS sources when paths are sampled")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", dest="json_out", default=None, help="report path (default: stdout)")
     p.add_argument("--dist-dir", default=None, help="also write support,pmf,ecdf CSVs here")
@@ -136,13 +136,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_properties(args) -> int:
     g = load_edge_list(args.input)
-    if args.exact_paths:
-        mode, sources = "exact", 256
-    elif args.path_sources is not None:
-        mode, sources = "sampled", args.path_sources
-    else:
-        mode, sources = "auto", 256
-    rep = property_report(g, path_mode=mode, path_sources=sources, seed=args.seed)
+    rep = property_report(g, path_mode=args.path_mode, path_sources=args.path_sources, seed=args.seed)
     payload = rep.to_dict()
     payload["graph"] = {"n": g.n, "m": g.m}
     text = json.dumps(payload, indent=2)

@@ -62,8 +62,6 @@ def detect_communities(g: Graph, seed: int = 0) -> np.ndarray:
         if not improved:
             break
         level = _aggregate(*level, dense)
-        if len(level[3]) <= 1:   # a single super-node is left
-            break
 
     out = _dense_labels(membership)
     if modularity(g, out) < 0.0:

@@ -130,8 +130,6 @@ def small_world(n: int, k: int, p: float, rng: np.random.Generator) -> Graph:
                 if rng.random() >= p:
                     continue
                 old = (min(i, (i + j) % n), max(i, (i + j) % n))
-                if old not in edges:
-                    continue  # already rewired away by an earlier pass
                 if degree[i] >= n - 1:
                     continue  # saturated; rewiring could only duplicate
                 while True:

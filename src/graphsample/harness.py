@@ -254,14 +254,6 @@ def _graph_fingerprint(g: Graph) -> str:
     return h.hexdigest()[:24]
 
 
-def _original_cache_path(g: Graph, name: str, cfg: ExperimentConfig, cache_dir: Path) -> Path:
-    seed = derive_seed(cfg.master_seed, name, "original")
-    # the package and report versions key the cache so a changed property kernel never reuses old reports
-    key = (_graph_fingerprint(g) + f"-{cfg.path_mode}-{cfg.path_sources}-{seed}"
-           f"-{_pkg_version}-r{REPORT_VERSION}")
-    return cache_dir / f"{name}.{hashlib.sha256(key.encode()).hexdigest()[:16]}.json"
-
-
 # ---------------------------------------------------------------------------
 # Sweep execution. The config and graphs are staged in a module global before
 # forking so pool workers inherit them copy-on-write; a job is only a dataset
@@ -305,35 +297,47 @@ def _run_cell(job: tuple[str, SamplerConfig, float, int]) -> _CellResult:
     return _CellResult(rep.scalars, dists, t1 - t0, t2 - t1)
 
 
-def _run_original(ds: str) -> tuple[PropertyReport, float]:
-    cfg, graphs = _SWEEP
-    t0 = time.perf_counter()
-    rep = property_report(graphs[ds], path_mode=cfg.path_mode, path_sources=cfg.path_sources,
-                          seed=derive_seed(cfg.master_seed, ds, "original"))
-    return rep, time.perf_counter() - t0
+def _run_original(ds: str) -> tuple[PropertyReport, float | None]:
+    """The original report of ``ds`` from ``cache/``, or else computed and cached.
 
-
-def _execute(missing: list[str], jobs: list[tuple], workers: int, keep) -> list[_CellResult]:
-    """Run the missing original reports, then the cells, on one pool.
-
-    The originals are the longest jobs, so they are queued first, one per job.
-    ``keep(ds, report, seconds)`` takes each one in the driver before the
-    cells are awaited, so a sweep that fails later still caches them. A job
-    that raises, or a worker that dies (BrokenProcessPool), cancels the
-    queued jobs and fails the sweep instead of hanging it.
+    Returns the report and the seconds spent computing it, None on a cache
+    hit. The report is cached from its own job, so a sweep that fails later
+    keeps it.
     """
-    if workers <= 1 or len(missing) + len(jobs) <= 1:
-        for ds in missing:
-            keep(ds, *_run_original(ds))
-        return [_run_cell(j) for j in jobs]
+    cfg, graphs = _SWEEP
+    g, seed = graphs[ds], derive_seed(cfg.master_seed, ds, "original")
+    # the package and report versions key the cache so a changed property kernel never reuses old reports
+    key = (_graph_fingerprint(g) + f"-{cfg.path_mode}-{cfg.path_sources}-{seed}"
+           f"-{_pkg_version}-r{REPORT_VERSION}")
+    path = Path(cfg.output_dir) / "cache" / f"{ds}.{hashlib.sha256(key.encode()).hexdigest()[:16]}.json"
+    if path.exists():
+        with open(path, "r", encoding="utf-8") as fh:
+            return PropertyReport.from_dict(json.load(fh)), None
+    t0 = time.perf_counter()
+    rep = property_report(g, path_mode=cfg.path_mode, path_sources=cfg.path_sources, seed=seed)
+    seconds = time.perf_counter() - t0
+    # atomic, so a killed run never leaves a truncated file that reads as a hit
+    with _atomic_open(path) as fh:
+        json.dump(rep.to_dict(), fh)
+    return rep, seconds
+
+
+def _execute(datasets: list[str], jobs: list[tuple], workers: int
+             ) -> tuple[list[tuple[PropertyReport, float | None]], list[_CellResult]]:
+    """Run each dataset's original report, then the cells, on one pool.
+
+    The originals are the longest jobs, so they are queued first, one per
+    job. A job that raises, or a worker that dies (BrokenProcessPool),
+    cancels the queued jobs and fails the sweep instead of hanging it.
+    """
+    if workers <= 1 or len(datasets) + len(jobs) <= 1:
+        return [_run_original(ds) for ds in datasets], [_run_cell(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        reports = pool.map(_run_original, missing)
+        reports = pool.map(_run_original, datasets)
         cells = pool.map(_run_cell, jobs, chunksize=max(1, len(jobs) // (workers * 8)))
         try:
-            for ds, (rep, seconds) in zip(missing, reports):
-                keep(ds, rep, seconds)
-            return list(cells)
+            return list(reports), list(cells)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -352,10 +356,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     (out / "dists" / "cells").mkdir(parents=True, exist_ok=True)
 
     failures: list[str] = []
-    originals: dict[str, PropertyReport] = {}
     dataset_meta: dict[str, dict] = {}
     graphs: dict[str, Graph] = {}
-    cache_paths: dict[str, Path] = {}
 
     for spec in cfg.datasets:
         try:
@@ -364,37 +366,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             failures.append(f"dataset {spec.name}: {type(exc).__name__}: {exc}")
             continue
         graphs[spec.name] = g
-        path = cache_paths[spec.name] = _original_cache_path(g, spec.name, cfg, out / "cache")
-        if path.exists():
-            with open(path, "r", encoding="utf-8") as fh:
-                originals[spec.name] = PropertyReport.from_dict(json.load(fh))
         dataset_meta[spec.name] = {
             "n": g.n,
             "m": g.m,
             "category": spec.category,
-            "original_cache_hit": spec.name in originals,
-            "original_seconds": 0.0,
             "load_stats": dataclasses.asdict(g.load_stats) if g.load_stats else None,
         }
-
-    def keep(ds: str, rep: PropertyReport, seconds: float) -> None:
-        # atomic, so a killed run never leaves a truncated file that reads as a hit
-        with _atomic_open(cache_paths[ds]) as fh:
-            json.dump(rep.to_dict(), fh)
-        originals[ds] = rep
-        dataset_meta[ds]["original_seconds"] = round(seconds, 6)
 
     global _SWEEP
     _SWEEP = (cfg, graphs)
     jobs = [(ds, scfg, phi, rep_i) for ds in graphs for scfg in cfg.samplers
             for phi in cfg.phis for rep_i in range(cfg.repetitions)]
     try:
-        results = _execute([ds for ds in graphs if ds not in originals], jobs, cfg.workers, keep)
+        reports, results = _execute(list(graphs), jobs, cfg.workers)
     finally:
         _SWEEP = None   # do not keep every dataset's CSR alive past the sweep
 
-    originals = {ds: originals[ds] for ds in graphs}   # config order, cache hits and new alike
-    for ds, rep in originals.items():
+    originals: dict[str, PropertyReport] = {}
+    for ds, (rep, seconds) in zip(graphs, reports):   # config order, cache hits and new alike
+        originals[ds] = rep
+        dataset_meta[ds].update(original_cache_hit=seconds is None, original_seconds=round(seconds or 0.0, 6))
         with _atomic_open(out / "originals" / f"{ds}.json") as fh:
             json.dump(rep.to_dict(), fh)
 

@@ -304,7 +304,10 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     uniform incident edge (v, w), collects it, and moves that walker to
     w. Node sampling stops at the budget. If no new node appears for
     ``fs_stall_limit`` steps (possible on disconnected graphs), one
-    walker teleports to a uniform unsampled node.
+    walker teleports to a uniform unsampled node of positive degree. Once
+    only isolated nodes are left unsampled, each further stalled step
+    samples one of them instead, so walkers only ever stand on nodes with
+    edges.
     """
     run = _Run(g, cfg)
     rng, degs = run.rng, run.degs
@@ -320,10 +323,7 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     wdeg = degs[walkers].astype(np.float64)
     stall = 0
     while not run.full():
-        total = wdeg.sum()
-        if total <= 0:  # every walker parked on a degree-0 node; cannot happen after load
-            raise RuntimeError("all walkers trapped on isolated nodes")
-        i = int(rng.choice(len(walkers), p=wdeg / total))
+        i = int(rng.choice(len(walkers), p=wdeg / wdeg.sum()))
         v = int(walkers[i])
         d = int(degs[v])
         if cfg.record_steps:
@@ -338,6 +338,10 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
         stall = 0 if new else stall + 1
         if stall >= cfg.fs_stall_limit and not run.full():
             u = run.uniform_unsampled(positive_degree=True)
+            if degs[u] == 0:   # only isolated nodes are left: sample one, and stay stalled
+                run.start(u)
+                run.tel.restarts += 1
+                continue
             k = int(rng.integers(len(walkers)))
             walkers[k] = u
             wdeg[k] = degs[u]

@@ -7,6 +7,7 @@ from graphsample import harness
 from graphsample.cli import main
 from graphsample.generators import MODELS, GeneratorConfig, generate
 from graphsample.graph import dump_edge_list, load_edge_list
+from graphsample.properties import property_report
 from graphsample.samplers import METHODS, SamplerConfig, sample
 
 # a valid non-default value for every method- or model-prefixed config field
@@ -117,7 +118,7 @@ def test_sample_output_matches_a_logged_run(sw_file, tmp_path, method):
 def test_properties_report(sw_file, tmp_path):
     report = tmp_path / "rep.json"
     dist_dir = tmp_path / "dists"
-    assert main(["properties", "--input", str(sw_file), "--exact-paths",
+    assert main(["properties", "--input", str(sw_file), "--path-mode", "exact",
                  "--json", str(report), "--dist-dir", str(dist_dir)]) == 0
     payload = json.loads(report.read_text())
     assert payload["graph"] == {"n": 120, "m": 960}
@@ -125,6 +126,23 @@ def test_properties_report(sw_file, tmp_path):
     assert payload["flags"]["path_mode"] == "exact"
     assert sorted(p.name for p in dist_dir.iterdir()) == [
         "sw.clustering.dist.csv", "sw.degree.dist.csv", "sw.path_length.dist.csv"]
+
+
+def test_properties_take_the_sweep_path_settings(sw_file, tmp_path):
+    """``--path-mode`` and ``--path-sources`` mean what a bench config's path_mode and
+    path_sources mean: an LCC of 120 nodes gets exact paths in auto mode, whatever the sources."""
+    g = load_edge_list(sw_file)
+    report = tmp_path / "rep.json"
+    for flags, mode, sources, ran in (
+            ([], "auto", 256, "exact"),
+            (["--path-sources", "16"], "auto", 16, "exact"),
+            (["--path-mode", "sampled", "--path-sources", "16"], "sampled", 16, "sampled")):
+        assert main(["properties", "--input", str(sw_file), "--seed", "4", *flags,
+                     "--json", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["flags"]["path_mode"] == ran
+        expected = property_report(g, path_mode=mode, path_sources=sources, seed=4).to_dict()
+        assert {k: payload[k] for k in expected} == expected
 
 
 def test_properties_rejects_zero_path_sources(sw_file, capsys):

@@ -207,6 +207,28 @@ class TestRunExperiment:
         # coverage: rows = cells x 6 minus error cells
         assert len(res.rows) == (8 - 4) * 6
 
+    def test_properties_failure_becomes_error_row(self, tmp_path, monkeypatch):
+        failing = derive_seed(11, "mm400", "ls", 0.1, 1, "props")   # one cell's report seed
+        real = harness.property_report
+
+        def report(g, **kwargs):
+            if kwargs["seed"] == failing:
+                raise RuntimeError("report failed")
+            return real(g, **kwargs)
+
+        monkeypatch.setattr(harness, "property_report", report)
+        res = run_experiment(tiny_config(tmp_path / "out"))
+        cell = {"dataset": "mm400", "method": "ls", "phi": 0.1, "rep": 1}
+        assert res.errors == [{**cell, "stage": "properties", "message": "RuntimeError: report failed"}]
+        with open(res.output_dir / "errors.csv", newline="") as fh:
+            assert [rec["stage"] for rec in csv.DictReader(fh)] == ["properties"]
+        assert len(res.rows) == (4 - 1) * 6
+        with open(res.output_dir / "timings.csv", newline="") as fh:
+            timing = next(rec for rec in csv.DictReader(fh) if (rec["phi"], rec["rep"]) == ("0.1", "1"))
+        # the sample was drawn before the report failed, so its time is kept
+        assert float(timing["sample_seconds"]) > 0.0
+        assert float(timing["properties_seconds"]) == 0.0
+
     def test_staged_graphs_released(self, tmp_path, monkeypatch):
         run_experiment(tiny_config(tmp_path / "ok", phis=(0.1,), repetitions=1))
         assert harness._SWEEP is None
@@ -348,6 +370,23 @@ class TestAggregate:
             ("degree", None), ("clustering", None), ("path_length", None)]
         assert [w for w in tables.warnings if w.startswith("jsd gap")] == [
             "jsd gap: mm400/ls/degree", "jsd gap: mm400/ls/clustering", "jsd gap: mm400/ls/path_length"]
+
+    def test_dataset_without_original_is_skipped_with_a_warning(self, tmp_path):
+        res = run_experiment(tiny_config(tmp_path / "out"))
+        dists = read_cell_distributions(res.output_dir / "dists" / "cells", res.rows)
+        tables = aggregate(res.rows, {}, dists)
+        assert tables.warnings == ["point_stats: no original report for mm400"]
+        assert tables.point_stats == tables.rmse == tables.jsd == []
+
+    def test_undefined_original_leaves_an_rmse_gap(self, tmp_path):
+        # a ring lattice without rewiring is 16-regular, so its assortativity is undefined
+        lattice = DatasetSpec(name="ring", generator=GeneratorConfig(model="sw", nodes=300, seed=5, sw_p=0.0))
+        res = run_experiment(tiny_config(tmp_path / "out", datasets=(lattice,)))
+        assert res.originals["ring"].scalars["assortativity"] is None
+        assert "rmse gap (original undefined): ring/assortativity" in res.tables.warnings
+        with open(res.output_dir / "rmse.csv", newline="") as fh:
+            gap = next(rec for rec in csv.DictReader(fh) if rec["property"] == "assortativity")
+        assert (gap["rmse"], gap["rmse_std"]) == ("", "")
 
 
 class TestConfig:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -324,11 +326,18 @@ class TestUniversalContracts:
             cfg = SamplerConfig("hj", phi=0.2, seed=1, hj_alpha=0.25)
             assert sample(g, cfg).telemetry.params["hj_alpha"] == 0.25
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_full_budget_exhausts_disconnected_graph(self, method):
+    @pytest.mark.parametrize("method, rule", [(m, {}) for m in METHODS] + [("ls", {"ls_rule": "max_degree"})],
+                             ids=[*METHODS, "ls-max_degree"])
+    def test_full_budget_exhausts_disconnected_graph(self, method, rule):
         g = two_component_graph()
-        smp = sample(g, SamplerConfig(method, phi=1.0, seed=2, fs_stall_limit=200))
+        smp = sample(g, SamplerConfig(method, phi=1.0, seed=2, fs_stall_limit=200, **rule))
         assert smp.nodes.tolist() == list(range(g.n))
+        # a K4 plus nodes 4 and 5, which no walk reaches; 0.9 * 6 rounds up to all six
+        g = build_graph([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3], n=6)
+        for phi in (1.0, 0.9):
+            smp = sample(g, SamplerConfig(method, phi=phi, seed=2, fs_walkers=2, rd_seeds=2, **rule))
+            assert smp.nodes.tolist() == list(range(g.n))
+            replay_check(g, smp)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_collected_mode_edges_subset(self, method):
@@ -352,6 +361,45 @@ class TestUniversalContracts:
         smp = sample(g, SamplerConfig("ls", phi=0.5, seed=1, record_steps=False))
         with pytest.raises(ValueError):
             replay_check(g, smp)
+
+    @pytest.mark.parametrize("violation, message", [
+        ("edge not in g", r"logged edge \(\d+, \d+\) not in graph"),
+        ("unknown edge source", r"edge source \d+ unknown at its step"),
+        ("unknown jump source", r"jump source \d+ unknown at its step"),
+        ("jump beyond depth", r"jump target \d+ beyond depth 1 of \d+"),
+        ("unknown kind", "unknown event kind 'teleport'"),
+        ("node never visited", "sample contains nodes never visited"),
+        ("edge never logged", "collected edges not covered by the step log"),
+    ])
+    def test_replay_check_rejects_a_bad_log(self, violation, message):
+        g = random_graph(30, 0.2, seed=1)
+        smp = sample(g, SamplerConfig("hj", phi=0.5, seed=1, hj_alpha=0.5, hj_bfs_depth=1))
+        replay_check(g, smp)   # the recorded log is valid; each case breaks it in one way
+        events = list(smp.telemetry.events)
+        first = {kind: next(i for i, ev in enumerate(events) if ev[0] == kind) for kind in ("edge", "jump")}
+
+        def far_from(u):   # neither u nor a neighbour of it
+            return next(x for x in range(g.n) if x != u and not g.has_edge(u, x))
+
+        if violation == "edge not in g":
+            _, u, _ = events[first["edge"]]
+            events[first["edge"]] = ("edge", u, far_from(u))
+        elif violation in ("unknown edge source", "unknown jump source"):
+            events.insert(0, events[first[violation.split()[1]]])   # before anything is known
+        elif violation == "jump beyond depth":
+            _, u, _ = events[first["jump"]]
+            events[first["jump"]] = ("jump", u, far_from(u))
+        elif violation == "unknown kind":
+            events.append(("teleport", 0))
+        elif violation == "node never visited":
+            del events[1:]   # only the start node is left
+        else:   # the first collected edge is still reached, by visits instead of its edge steps
+            pair = sorted(events[first["edge"]][1:])
+            events = [("visit", ev[2]) if ev[0] == "edge" and sorted(ev[1:]) == pair else ev
+                      for ev in events]
+        bad = dataclasses.replace(smp, telemetry=dataclasses.replace(smp.telemetry, events=events))
+        with pytest.raises(ValueError, match=message):
+            replay_check(g, bad)
 
     @pytest.mark.parametrize("kwargs", [
         dict(method="zz"),
