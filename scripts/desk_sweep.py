@@ -1,27 +1,24 @@
 #!/usr/bin/env python3
 """Run the desk-scale benchmark sweep and print the summary table.
 
-Datasets: cora.txt and topology.txt from data/ when present, plus the
-three synthetic models at a configurable size. All five samplers run
-under their defining edge semantics, phi in {0.02..0.1}, 10 repetitions.
+Datasets: cora.txt and topology.txt from the data directory when present,
+plus the three synthetic models at a configurable size. All five samplers
+run under their defining edge semantics, phi in {0.02..0.1}, 10 repetitions.
+Exits 1 when a dataset or a trend check fails.
 
-Usage: python scripts/desk_sweep.py [--nodes 20000] [--reps 10]
-       [--out bench_out] [--workers 2] [--data data/]
+Usage: python scripts/desk_sweep.py [--nodes 20000] [--reps 10] [--out bench_out]
+       [--workers 2] [--master-seed 20] [--data $GRAPHSAMPLE_DATA or data/]
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import time
 from pathlib import Path
 
 from graphsample.generators import GeneratorConfig
-from graphsample.harness import (
-    DatasetSpec,
-    ExperimentConfig,
-    default_method_suite,
-    run_experiment,
-)
+from graphsample.harness import DatasetSpec, ExperimentConfig, default_method_suite, run_experiment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,50 +36,51 @@ def build_datasets(data_dir: Path, nodes: int, gen_seed: int = 100) -> tuple[Dat
     return tuple(specs)
 
 
-def ordering_checks(summary: list[dict]) -> dict[str, bool]:
-    """The trend checks: LS best at clustering RMSE and path-length JSD,
-    FS or XS beats RD on assortativity RMSE."""
-    def row(metric, prop):
-        r = next(x for x in summary if x["metric"] == metric and x["property"] == prop)
-        return {k: v for k, v in r.items() if k not in ("metric", "property") and v is not None}
+def desk_config(data_dir: Path, nodes: int = 20000, reps: int = 10, out: str | Path = "bench_out",
+                workers: int = 2, master_seed: int = 20) -> ExperimentConfig:
+    """The study; tests/test_acceptance.py's criterion 6 runs it with these defaults and pins it."""
+    return ExperimentConfig(datasets=build_datasets(data_dir, nodes), samplers=default_method_suite(),
+                            phis=(0.02, 0.04, 0.06, 0.08, 0.1), repetitions=reps,
+                            master_seed=master_seed, output_dir=str(out), workers=workers)
 
-    cc = row("rmse", "avg_clustering")
-    pl = row("jsd", "path_length")
-    ar = row("rmse", "assortativity")
+
+def ordering_checks(summary: list[dict]) -> dict[str, tuple[bool, dict]]:
+    """The trend checks, each as (passed, the compared summary row as {method: value}):
+    LS best at clustering RMSE and path-length JSD, FS or XS beats RD on
+    assortativity RMSE. A check fails when a value it compares is missing."""
+    rows = {(r["metric"], r["property"]): {k: v for k, v in r.items() if k not in ("metric", "property")}
+            for r in summary}
+    cc, pl, ar = rows["rmse", "avg_clustering"], rows["jsd", "path_length"], rows["rmse", "assortativity"]
+    fs, xs, rd = (ar.get(m) for m in ("fs", "xs", "rd"))
+
+    def ls_lowest(r):
+        return None not in r.values() and min(r, key=r.get) == "ls"
+
     return {
-        "ls_lowest_clustering_rmse": min(cc, key=cc.get) == "ls",
-        "ls_lowest_path_jsd": min(pl, key=pl.get) == "ls",
-        "fs_or_xs_beats_rd_assortativity": min(ar["fs"], ar["xs"]) < ar["rd"],
+        "ls_lowest_clustering_rmse": (ls_lowest(cc), cc),
+        "ls_lowest_path_jsd": (ls_lowest(pl), pl),
+        "fs_or_xs_beats_rd_assortativity": (None not in (fs, xs, rd) and min(fs, xs) < rd, ar),
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--nodes", type=int, default=20000)
-    parser.add_argument("--reps", type=int, default=10)
-    parser.add_argument("--out", default="bench_out")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--data", type=Path, default=REPO_ROOT / "data")
-    parser.add_argument("--master-seed", type=int, default=20)
-    args = parser.parse_args(argv)
+    parser = argparse.ArgumentParser(description=__doc__, argument_default=argparse.SUPPRESS)
+    parser.add_argument("--nodes", type=int)
+    parser.add_argument("--reps", type=int)
+    parser.add_argument("--out")
+    parser.add_argument("--workers", type=int)
+    parser.add_argument("--master-seed", type=int)
+    parser.add_argument("--data", dest="data_dir", type=Path,
+                        default=Path(os.environ.get("GRAPHSAMPLE_DATA", REPO_ROOT / "data")))
+    cfg = desk_config(**vars(parser.parse_args(argv)))
 
-    cfg = ExperimentConfig(
-        datasets=build_datasets(args.data, args.nodes),
-        samplers=default_method_suite(),
-        phis=(0.02, 0.04, 0.06, 0.08, 0.1),
-        repetitions=args.reps,
-        master_seed=args.master_seed,
-        output_dir=args.out,
-        workers=args.workers,
-    )
     t0 = time.time()
     res = run_experiment(cfg)
     print(f"\nswept {len(cfg.datasets)} datasets x {len(cfg.samplers)} methods x "
           f"{len(cfg.phis)} phis x {cfg.repetitions} reps "
           f"in {time.time() - t0:.0f}s -> {res.output_dir}")
-    if res.failures:
-        for f in res.failures:
-            print(f"FAILED: {f}")
+    for f in res.failures:
+        print(f"FAILED: {f}")
 
     methods = [s.label for s in cfg.samplers]
     print(f"\n{'metric':8s} {'property':20s} " + " ".join(f"{m:>8s}" for m in methods))
@@ -92,9 +90,10 @@ def main(argv=None) -> int:
         print(f"{row['metric']:8s} {row['property']:20s} {cells}")
 
     print("\ntrend checks:")
-    for name, ok in ordering_checks(res.tables.summary).items():
-        print(f"  {name}: {'PASS' if ok else 'FAIL'}")
-    return 1 if res.failures else 0
+    checks = ordering_checks(res.tables.summary)
+    for name, (ok, row) in checks.items():
+        print(f"  {name}: " + ("PASS" if ok else f"FAIL {row}"))
+    return 1 if res.failures or not all(ok for ok, _ in checks.values()) else 0
 
 
 if __name__ == "__main__":

@@ -122,12 +122,11 @@ def _cmd_sample(args) -> int:
     orig = g.orig_ids
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# n={smp.n_nodes} m={smp.n_edges} method={smp.method} phi={smp.phi}\n")
-        for u, v in smp.edges:
-            a, b = int(orig[u]), int(orig[v])
-            fh.write(f"{min(a, b)} {max(a, b)}\n")
+        # orig_ids ascend and sample rows have u < v, so each mapped row stays ordered
+        fh.writelines(f"{a} {b}\n" for a, b in orig[smp.edges].tolist())
     sidecar = args.sidecar or (args.out + ".json")
     payload = smp.sidecar(cfg)
-    payload["nodes"] = [int(orig[v]) for v in smp.nodes]
+    payload["nodes"] = orig[smp.nodes].tolist()
     with open(sidecar, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
     print(f"wrote {args.out} (+{Path(sidecar).name}): {smp.n_nodes} nodes, {smp.n_edges} edges")

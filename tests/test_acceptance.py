@@ -7,6 +7,7 @@ skip cleanly when the files are absent.
 """
 
 import dataclasses
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -18,12 +19,7 @@ import pytest
 from graphsample.generators import GeneratorConfig, generate
 from graphsample.graph import load_edge_list
 from graphsample.community import detect_communities, modularity
-from graphsample.harness import (
-    DatasetSpec,
-    ExperimentConfig,
-    default_method_suite,
-    run_experiment,
-)
+from graphsample.harness import default_method_suite, run_experiment
 from graphsample.metrics import confidence_interval_95, jsd, rmse, scaling_ratio
 from graphsample.properties import (
     Distribution,
@@ -36,7 +32,8 @@ from graphsample.properties import (
 )
 from graphsample.samplers import node_budget, replay_check, sample
 
-from conftest import dataset_path
+import desk_sweep
+from conftest import data_dir
 from oracles import (
     assortativity_oracle,
     average_path_length_oracle,
@@ -283,50 +280,72 @@ def test_criterion_5_metric_laws():
 # ---------------------------------------------------------------------------
 
 
+# dataset_digests of the synthetic datasets' parts of the criterion-6 bundle. summary.csv is
+# left out: it also averages over cora and topology when their files are present.
+DESK_PINS = {
+    "ff": {
+        "originals": "93bd28c474dd22a381d639795c5cdebcfab1cd22e7102babd71299145d770fa5",
+        "cells": "2ce740734ee37ce7c2c33046dca3062730e4f1d50d1f1e8cdddcf2185fe93b54",
+        "dists": "e83f6428ad1e8e97475d4929db175e4f57427eb5a0c8e38bddf87f80d29daeac",
+        "raw.csv": "6a8ede7affad41b332ddf8e7a1d862482cd87d2d7fd38a71c69f9d8fa242b3cc",
+        "point_stats.csv": "e07f43a0f9509ec997edb8adff9060e24beac37b7ec01865dfeab8073efb1b1e",
+        "rmse.csv": "02a0aa5c86493a8c97091ef429244488e6a3611c5d75d265e38847fa29b7446f",
+        "jsd.csv": "8f55011eccea686ee2ab83571a628a2fe7314099ee8713b9c433d4a0120710b3",
+    },
+    "sw": {
+        "originals": "b9e172172bdc618f55b6f12e89bdeacddf0b41f510d554b19aac7eb487ea290d",
+        "cells": "fd2c8f14228284fa4521dd78de3477c00ef6bbb3d4a41aaa26c7968ac4cd4725",
+        "dists": "a8c704ea86fd998779f83fcdae06387b13fe3de06fc10472adb578b3527dfa34",
+        "raw.csv": "180d51a4957be948baab012ce8496f69a38b99715d14a7d021af8212edbfc733",
+        "point_stats.csv": "4f742d6a2fb5882584a5a91f004e1a8fd4d3b6773f0047eebfc1e23b704cdc41",
+        "rmse.csv": "e098bb049a3d85f6dee2554d761142be69b8f85b8d5b428992eccda5c1053fcf",
+        "jsd.csv": "0e1f83150220600d760b2d1d0b93be1014472a1e57045ff42e0ba55ca0c72509",
+    },
+    "mm": {
+        "originals": "74d0b6dce5e4ec6208cb7f18bb7c536d87bfc2b8a128edc4f08622e02f647ec6",
+        "cells": "1a893af574f2021051af0dc40d8743d979ea981a39fc83bf362054ea3a44537a",
+        "dists": "a0a24944a6544f9aa4a21679a18ad5ed394de23ae7a688e2ae1f82d41d6c10f3",
+        "raw.csv": "10673f02b8f2ead172408f302396fc905bf5365c1b05b530a1b33ba79fe08289",
+        "point_stats.csv": "36ecf3a5e32ac076965126119fe9f04bea6019e594762a54552b5ea18591f313",
+        "rmse.csv": "3fc31111f8173d50c6853ba02797ebc5458be27e84a8ee23702ab0ba22904420",
+        "jsd.csv": "d0e5e57d801e3a0a7b3ba6503ecfe842a05d189090718abeb8288c29360069a0",
+    },
+}
+
+
+def dataset_digests(bundle: Path, ds: str) -> dict[str, str]:
+    """One SHA-256 per part of ``bundle`` that belongs to dataset ``ds``: the files of each glob
+    (names and bytes, in name order), and the header plus ``ds``'s rows of each table."""
+    def files(pattern):
+        return b"".join(p.name.encode() + b"\n" + p.read_bytes() for p in sorted(bundle.glob(pattern)))
+
+    def rows(table):
+        header, *lines = (bundle / table).read_bytes().splitlines(keepends=True)
+        return header + b"".join(line for line in lines if line.startswith(f"{ds},".encode()))
+
+    parts = {"originals": files(f"originals/{ds}.json"), "cells": files(f"dists/cells/{ds}.*.json"),
+             "dists": files(f"dists/{ds}.*.dist.csv"),
+             **{t: rows(t) for t in ("raw.csv", "point_stats.csv", "rmse.csv", "jsd.csv")}}
+    return {part: hashlib.sha256(data).hexdigest() for part, data in parts.items()}
+
+
 @pytest.mark.slow
 def test_criterion_6_trend_reproduction(tmp_path):
     with criterion("6 trend reproduction at desk scale") as info:
         t0 = time.perf_counter()
-        specs = []
-        for name, cat in (("cora", "citation"), ("topology", "technological")):
-            p = dataset_path(f"{name}.txt")
-            if p is not None:
-                specs.append(DatasetSpec(name=name, path=str(p), category=cat))
-        for model in ("ff", "sw", "mm"):
-            specs.append(DatasetSpec(
-                name=model, category="synthetic",
-                generator=GeneratorConfig(model=model, nodes=20000, seed=100)))
-
-        cfg = ExperimentConfig(
-            datasets=tuple(specs),
-            samplers=default_method_suite(),
-            phis=(0.02, 0.04, 0.06, 0.08, 0.1),
-            repetitions=10,
-            master_seed=20,
-            output_dir=str(tmp_path / "sweep"),
-            workers=2,
-        )
+        cfg = desk_sweep.desk_config(data_dir(), out=tmp_path / "sweep")
         res = run_experiment(cfg)
         assert not res.failures and not res.errors
 
-        def summary_row(metric, prop):
-            row = next(r for r in res.tables.summary
-                       if r["metric"] == metric and r["property"] == prop)
-            return {k: v for k, v in row.items()
-                    if k not in ("metric", "property") and v is not None}
+        checks = desk_sweep.ordering_checks(res.tables.summary)
+        rows = {name: {k: v if v is None else round(v, 3) for k, v in row.items()}
+                for name, (_, row) in checks.items()}
+        info["detail"] = f"datasets[{','.join(d.name for d in cfg.datasets)}] {rows}"
+        assert all(ok for ok, _ in checks.values()), f"trend checks: {checks}"
 
-        cc = summary_row("rmse", "avg_clustering")
-        pl = summary_row("jsd", "path_length")
-        ar = summary_row("rmse", "assortativity")
-        names = ",".join(d.name for d in cfg.datasets)
-        info["detail"] = (
-            f"datasets[{names}] "
-            f"cc_rmse={ {k: round(v, 3) for k, v in cc.items()} } "
-            f"path_jsd={ {k: round(v, 3) for k, v in pl.items()} } "
-            f"assort_rmse={ {k: round(v, 3) for k, v in ar.items()} }")
-        assert min(cc, key=cc.get) == "ls", f"(a) clustering RMSE: {cc}"
-        assert min(pl, key=pl.get) == "ls", f"(b) path-length JSD: {pl}"
-        assert min(ar["fs"], ar["xs"]) < ar["rd"], f"(c) assortativity RMSE: {ar}"
+        moved = [f"{ds}/{part}" for ds, pins in DESK_PINS.items()
+                 for part, digest in dataset_digests(res.output_dir, ds).items() if digest != pins[part]]
+        assert not moved, f"bundle parts moved: {moved}"
         assert time.perf_counter() - t0 < 1800.0
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from graphsample import harness
@@ -102,10 +103,16 @@ def test_sample_mode_defaults_to_the_method_rule(sw_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_sample_output_matches_a_logged_run(sw_file, tmp_path, method):
+    # sparse ids in the reverse order of sw_file's, so the output's id mapping is not the identity
+    relabelled = tmp_path / "relabelled.txt"
+    relabelled.write_text("".join(
+        f"{10**6 - 7 * int(u)} {10**6 - 7 * int(v)}\n"
+        for u, v in (line.split() for line in sw_file.read_text().splitlines()[1:])))
     out = tmp_path / "smp.txt"
-    assert main(["sample", "--input", str(sw_file), "--method", method, "--phi", "0.2",
+    assert main(["sample", "--input", str(relabelled), "--method", method, "--phi", "0.2",
                  "--seed", "5", "--out", str(out)]) == 0
-    g = load_edge_list(sw_file)
+    g = load_edge_list(relabelled)
+    assert not np.array_equal(g.orig_ids, np.arange(g.n))
     logged = sample(g, SamplerConfig(method, phi=0.2, seed=5, record_steps=True))
     orig = g.orig_ids
     pairs = [sorted((int(orig[u]), int(orig[v]))) for u, v in logged.edges]
