@@ -109,9 +109,9 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        if self.degree(u) > self.degree(v):
+        if self.indptr[u + 1] - self.indptr[u] > self.indptr[v + 1] - self.indptr[v]:
             u, v = v, u
-        row = self.neighbors(u)
+        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -296,6 +298,14 @@ def finalize(g: Graph, raw: Sample, mode: str) -> Sample:
 # Frontier sampling
 
 
+def _walker_draw(wdeg: list[float], rng: np.random.Generator) -> int:
+    """What ``rng.choice(len(wdeg), p=wdeg / sum(wdeg))`` draws, minus its argument
+    checks: the same index and rng state for integer-valued weights below 2**53."""
+    total = sum(wdeg)
+    cdf = list(accumulate([w / total for w in wdeg]))
+    return bisect_right(cdf, rng.random(), key=lambda c: c / cdf[-1])
+
+
 def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     """m-dimensional dependent random walk.
 
@@ -307,7 +317,8 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     walker teleports to a uniform unsampled node of positive degree. Once
     only isolated nodes are left unsampled, each further stalled step
     samples one of them instead, so walkers only ever stand on nodes with
-    edges.
+    edges. The walker draw is one ``rng.random()`` per step against the
+    normalized cumulative walker degrees (``_walker_draw``), not ``Generator.choice``.
     """
     run = _Run(g, cfg)
     rng, degs = run.rng, run.degs
@@ -320,10 +331,10 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     for v in walkers:
         run.log("seed", int(v))
 
-    wdeg = degs[walkers].astype(np.float64)
+    wdeg = degs[walkers].astype(np.float64).tolist()
     stall = 0
     while not run.full():
-        i = int(rng.choice(len(walkers), p=wdeg / wdeg.sum()))
+        i = _walker_draw(wdeg, rng)
         v = int(walkers[i])
         d = int(degs[v])
         if cfg.record_steps:
@@ -333,7 +344,7 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
         w = int(g.neighbors(v)[rng.integers(d)])
         new = run.visit(v) | run.edge(v, w)
         walkers[i] = w
-        wdeg[i] = degs[w]
+        wdeg[i] = float(degs[w])
         run.tel.steps += 1
         stall = 0 if new else stall + 1
         if stall >= cfg.fs_stall_limit and not run.full():
@@ -344,7 +355,7 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
                 continue
             k = int(rng.integers(len(walkers)))
             walkers[k] = u
-            wdeg[k] = degs[u]
+            wdeg[k] = float(degs[u])
             run.tel.teleports += 1
             run.log("seed", u)
             stall = 0
@@ -530,20 +541,13 @@ def _mh_propose(g: Graph, degs: np.ndarray, v: int, rng: np.random.Generator) ->
 def _jump_candidates(g: Graph, v: int, depth: int) -> np.ndarray:
     """Sorted unique nodes within ``depth`` hops of v, excluding v itself.
 
-    The ball so far is one sorted array, so a jump costs O(ball), not O(n).
-    Duplicates go by sort and adjacent compare, which is several times
-    faster here than ``np.unique``.
+    The first hop is v's own row, already sorted and free of v. Each
+    further hop appends the ball's adjacency rows to the ball and dedupes
+    the lot by one sort, so a jump costs O(edges of the ball), not O(n).
     """
-    ball = np.array([v], dtype=np.int64)
-    frontier = ball
-    for _ in range(depth):
-        _, dst = g.rows(frontier)
-        dst = np.sort(dst)
-        at = np.minimum(np.searchsorted(ball, dst), len(ball) - 1)
-        keep = ball[at] != dst
-        keep[1:] &= dst[1:] != dst[:-1]
-        frontier = dst[keep]
-        ball = np.sort(np.concatenate([ball, frontier]))
+    ball = np.concatenate([g.neighbors(v), [v]])
+    for _ in range(depth - 1):
+        ball = _sorted_unique(np.concatenate([ball, g.rows(ball)[1]]))
     return ball[ball != v]
 
 

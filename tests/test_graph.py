@@ -149,6 +149,17 @@ class TestDegreeNeighbors:
             g.degree(3)
         with pytest.raises(ValueError):
             g.neighbors(-1)
+        for u, v in ((3, 0), (0, 3), (-1, 1), (1, -1)):
+            bad = u if not 0 <= u < 3 else v
+            with pytest.raises(ValueError, match=rf"^node id {bad} out of range \[0, 3\)$"):
+                g.has_edge(u, v)
+
+    def test_has_edge_all_pairs(self):
+        g = star(6)   # hub 0 has the longer row, so both swap directions run
+        edges = {(0, x) for x in range(1, 6)}
+        for u in range(6):
+            for v in range(6):
+                assert g.has_edge(u, v) == ((u, v) in edges or (v, u) in edges)
 
 
 class TestInducedSubgraph:

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from graphsample.community import detect_communities, modularity
-from graphsample.graph import induced_edges
+from graphsample.graph import build_graph, induced_edges
 from graphsample.properties import assortativity, clustering, path_length_stats
 from graphsample.samplers import _jump_candidates
 
-from oracles import random_graph
+from oracles import path_graph, random_graph, star
 
 nx = pytest.importorskip("networkx")
 
@@ -52,6 +52,17 @@ def test_jump_candidates(pair):
             ball = nx.single_source_shortest_path_length(G, v, cutoff=depth)
             want = sorted(set(ball) - {v})
             assert _jump_candidates(g, v, depth).tolist() == want
+
+
+@pytest.mark.parametrize("g, v", [
+    (star(9), 0), (star(9), 5), (path_graph(12), 0), (path_graph(12), 6),
+    (build_graph([0, 1], [1, 2], n=5), 4),   # isolated node: empty ball
+], ids=["star-centre", "star-leaf", "path-end", "path-middle", "isolated"])
+def test_jump_candidates_shapes(g, v):
+    G = to_nx(g)
+    for depth in (1, 2, 3):
+        want = sorted(set(nx.single_source_shortest_path_length(G, v, cutoff=depth)) - {v})
+        assert _jump_candidates(g, v, depth).tolist() == want
 
 
 def test_properties(pair):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsample.generators import GeneratorConfig, generate
 from graphsample.graph import build_graph
@@ -10,6 +12,7 @@ from graphsample.samplers import (
     Sample,
     SamplerConfig,
     Telemetry,
+    _walker_draw,
     expansion_sample,
     finalize,
     frontier_sample,
@@ -31,6 +34,20 @@ from oracles import (
     star,
     three_k10_chain,
 )
+
+
+class FixedUniform(np.random.Generator):
+    """A Generator whose ``random()`` returns u, so ``choice`` can be probed at chosen uniforms."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+DEGREES = st.lists(st.integers(1, 10**6) | st.integers(2**40 - 100, 2**40 + 100), min_size=1, max_size=64)
 
 
 def run_with_first_node(fn, g, make_cfg, first, tries=400):
@@ -73,6 +90,26 @@ class TestFrontierSampling:
     def test_walker_count_capped_by_n(self):
         with pytest.raises(ValueError):
             frontier_sample(complete_graph(4), SamplerConfig("fs", phi=0.5, fs_walkers=10))
+
+    @settings(max_examples=400, deadline=None)
+    @given(DEGREES, st.integers(0, 2**63 - 1))
+    def test_walker_draw_matches_generator_choice(self, degrees, seed):
+        wdeg = np.array(degrees, dtype=np.float64)
+        ref, ours = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = int(ref.choice(len(wdeg), p=wdeg / wdeg.sum()))
+        assert _walker_draw(wdeg.tolist(), ours) == want
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(DEGREES)
+    def test_walker_draw_matches_generator_choice_at_boundaries(self, degrees):
+        # a uniform on, or one ulp either side of, a cumulative boundary is where rounding decides
+        wdeg = np.array(degrees, dtype=np.float64)
+        cdf = np.cumsum(wdeg / wdeg.sum())
+        probes = {float(x) for c in cdf for x in (np.nextafter(c, 0), c, c / cdf[-1], np.nextafter(c, 2))}
+        for u in sorted(x for x in probes if 0 <= x < 1):
+            fixed = FixedUniform(u)
+            assert _walker_draw(wdeg.tolist(), fixed) == int(fixed.choice(len(wdeg), p=wdeg / wdeg.sum())), u
 
 
 class TestExpansionSampling:
