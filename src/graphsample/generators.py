@@ -117,34 +117,51 @@ def forest_fire(n: int, pf: float, rng: np.random.Generator) -> Graph:
 
 
 def small_world(n: int, k: int, p: float, rng: np.random.Generator) -> Graph:
-    """Watts-Strogatz ring lattice with rewiring; edge count stays n*k/2."""
-    edges: set[tuple[int, int]] = set()
-    degree = np.full(n, k, dtype=np.int64)
-    for j in range(1, k // 2 + 1):
-        for i in range(n):
-            a, b = i, (i + j) % n
-            edges.add((min(a, b), max(a, b)))
+    """Watts-Strogatz ring lattice with rewiring; edge count stays n*k/2 (needs n > k).
+
+    The lattice stays implicit: slot ``(j - 1) * n + i`` holds edge
+    {i, (i + j) % n} and is cleared when that edge is rewired; rewired
+    edges are kept as keys ``a * n + b`` with a < b. No edge holds a
+    Python object until it is rewired.
+    """
+    h = k // 2
+    lattice = bytearray(b"\x01") * (h * n)
+    rewired: set[int] = set()
+    degree = [k] * n
+
+    def present(a: int, b: int) -> bool:
+        # a rewire can land on the pair of an already cleared slot, so a
+        # lattice-shaped pair is also looked up among the rewired keys
+        d = b - a
+        if d <= h and lattice[(d - 1) * n + a]:
+            return True
+        if n - d <= h and lattice[(n - d - 1) * n + b]:
+            return True
+        return a * n + b in rewired
+
     if p > 0:
-        for j in range(1, k // 2 + 1):
+        for j in range(1, h + 1):
             for i in range(n):
                 if rng.random() >= p:
                     continue
-                old = (min(i, (i + j) % n), max(i, (i + j) % n))
                 if degree[i] >= n - 1:
                     continue  # saturated; rewiring could only duplicate
                 while True:
                     w = int(rng.integers(n))
                     if w == i:
                         continue
-                    cand = (min(i, w), max(i, w))
-                    if cand not in edges:
+                    a, b = (i, w) if i < w else (w, i)
+                    if not present(a, b):
                         break
-                other = old[0] if old[1] == i else old[1]
-                edges.remove(old)
-                edges.add(cand)
-                degree[other] -= 1
+                lattice[(j - 1) * n + i] = 0
+                rewired.add(a * n + b)
+                degree[(i + j) % n] -= 1
                 degree[w] += 1
-    u, v = np.array(list(edges), dtype=np.int64).T
+    slots = np.flatnonzero(np.frombuffer(lattice, dtype=np.uint8))
+    keys = np.fromiter(rewired, dtype=np.int64, count=len(rewired))
+    u = np.concatenate([slots % n, keys // n])
+    v = np.concatenate([(slots % n + slots // n + 1) % n, keys % n])
+    del slots, keys    # not held through build_graph's own temporaries
     return build_graph(u, v, n=n)
 
 

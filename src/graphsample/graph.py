@@ -13,6 +13,7 @@ sample subgraph and component subgraph is built by it.
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 COMMENT_PREFIXES = ("#", "%")
+DUMP_CHUNK = 1 << 14    # edges per write in dump_edge_list; only these become Python ints
 
 
 class EdgeListParseError(ValueError):
@@ -191,35 +193,37 @@ def load_edge_list(source: str | Path | TextIO) -> Graph:
     and KONECT files. Direction is discarded, self-loops and duplicates
     dropped, and ids remapped to a dense [0, n) range; the remap is kept
     in ``Graph.orig_ids`` and the drop counts in ``Graph.load_stats``.
+    Ids must lie in the int64 range [-2**63, 2**63 - 1]; any other id
+    raises ``EdgeListParseError`` naming its line.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
             return load_edge_list(fh)
 
-    us: list[int] = []
-    vs: list[int] = []
-    lines_total = lines_skipped = 0
+    us, vs = array("q"), array("q")    # no Python object per edge
+    lineno = lines_skipped = 0
     for lineno, line in enumerate(source, start=1):
-        lines_total += 1
-        stripped = line.strip()
-        if not stripped or stripped.startswith(COMMENT_PREFIXES):
+        # split() and strip() share one whitespace rule, so an empty split
+        # is a blank line and the first field starts the stripped line
+        parts = line.split()
+        if not parts or parts[0].startswith(COMMENT_PREFIXES):
             lines_skipped += 1
             continue
-        parts = stripped.split()
         if len(parts) < 2:
-            raise EdgeListParseError(lineno, f"expected 'u v', got {stripped!r}")
+            raise EdgeListParseError(lineno, f"expected 'u v', got {line.strip()!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            us.append(int(parts[0]))
+            vs.append(int(parts[1]))
         except ValueError:
-            raise EdgeListParseError(lineno, f"non-integer node id in {stripped!r}") from None
-        us.append(a)
-        vs.append(b)
+            raise EdgeListParseError(lineno, f"non-integer node id in {line.strip()!r}") from None
+        except OverflowError:
+            raise EdgeListParseError(lineno, f"node id outside int64 in {line.strip()!r}") from None
 
     if not us:
         raise ValueError("empty edge list: no edges found")
 
-    raw_u = np.asarray(us, dtype=np.int64)
-    raw_v = np.asarray(vs, dtype=np.int64)
+    raw_u = np.frombuffer(us, dtype=np.int64)
+    raw_v = np.frombuffer(vs, dtype=np.int64)
     loops = raw_u == raw_v
     loop_ids = raw_u[loops]
     raw_u, raw_v = raw_u[~loops], raw_v[~loops]
@@ -229,7 +233,7 @@ def load_edge_list(source: str | Path | TextIO) -> Graph:
     g = build_graph(np.searchsorted(orig_ids, raw_u), np.searchsorted(orig_ids, raw_v),
                     n=len(orig_ids))
     stats = LoadStats(
-        lines_total=lines_total,
+        lines_total=lineno,
         lines_skipped=lines_skipped,
         edges_raw=len(us),
         self_loops_dropped=int(loops.sum()),
@@ -241,9 +245,12 @@ def load_edge_list(source: str | Path | TextIO) -> Graph:
 
 def dump_edge_list(g: Graph, path: str | Path) -> None:
     """Write the normalized edge list: header comment, then 'u v' with u < v."""
+    edges = g.edge_array()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={g.n} m={g.m}\n")
-        fh.writelines(f"{u} {v}\n" for u, v in g.edge_array().tolist())
+        for start in range(0, len(edges), DUMP_CHUNK):
+            chunk = edges[start:start + DUMP_CHUNK]
+            fh.write("%d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def induced_edges(g: Graph, nodes: np.ndarray) -> np.ndarray:

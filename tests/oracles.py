@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own algorithms:
 dense-matrix triple products, Floyd-Warshall, union-find, direct
 summation of definitions. Slow on purpose, trusted by inspection.
 ``louvain_oracle`` is the earlier dict-of-dicts Louvain, kept verbatim
-as the reference partition for the CSR implementation.
+as the reference partition for the CSR implementation, and
+``small_world_oracle`` the earlier set-of-tuples Watts-Strogatz
+generator, kept as the reference for the implicit-lattice one.
 """
 
 from __future__ import annotations
@@ -358,6 +360,43 @@ def edge_set_oracle(lines: list[str]) -> set[frozenset[int]]:
         if a != b:
             out.add(frozenset((a, b)))
     return out
+
+
+def small_world_oracle(n: int, k: int, p: float, rng: np.random.Generator) -> Graph:
+    """Watts-Strogatz with every edge a (min, max) tuple in one set.
+
+    Same RNG calls in the same order as ``generators.small_world``: one
+    ``rng.random()`` per lattice slot (when p > 0), then ``rng.integers(n)``
+    until the new endpoint is neither the node itself nor a neighbor.
+    """
+    edges: set[tuple[int, int]] = set()
+    degree = np.full(n, k, dtype=np.int64)
+    for j in range(1, k // 2 + 1):
+        for i in range(n):
+            a, b = i, (i + j) % n
+            edges.add((min(a, b), max(a, b)))
+    if p > 0:
+        for j in range(1, k // 2 + 1):
+            for i in range(n):
+                if rng.random() >= p:
+                    continue
+                old = (min(i, (i + j) % n), max(i, (i + j) % n))
+                if degree[i] >= n - 1:
+                    continue  # saturated; rewiring could only duplicate
+                while True:
+                    w = int(rng.integers(n))
+                    if w == i:
+                        continue
+                    cand = (min(i, w), max(i, w))
+                    if cand not in edges:
+                        break
+                other = old[0] if old[1] == i else old[1]
+                edges.remove(old)
+                edges.add(cand)
+                degree[other] -= 1
+                degree[w] += 1
+    u, v = np.array(list(edges), dtype=np.int64).T
+    return build_graph(u, v, n=n)
 
 
 def dijkstra_path_oracle(g: Graph, mode: str, sources: int = 256, seed: int = 0) -> tuple[float, np.ndarray]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsample.generators import (
     FF_DEFAULT_PF,
@@ -13,7 +15,7 @@ from graphsample.generators import (
 from graphsample.graph import largest_connected_component, validate
 from graphsample.properties import path_length_stats
 
-from oracles import floyd_warshall_oracle
+from oracles import floyd_warshall_oracle, small_world_oracle
 
 
 @pytest.mark.parametrize("model", ["ff", "sw", "mm"])
@@ -32,7 +34,34 @@ def test_outputs_are_valid_simple_graphs(model, seed):
     validate(g)
 
 
+def assert_same_sw(n, k, p, seed):
+    got = generate(GeneratorConfig(model="sw", nodes=n, sw_k=k, sw_p=p, seed=seed))
+    want = small_world_oracle(n, k, p, np.random.default_rng(seed))
+    assert np.array_equal(got.indptr, want.indptr), (n, k, p, seed)
+    assert np.array_equal(got.indices, want.indices), (n, k, p, seed)
+
+
 class TestSmallWorld:
+    @pytest.mark.parametrize("n,k,p", [
+        (3, 2, 0.5), (10, 2, 0.0), (10, 2, 1.0), (40, 6, 0.0), (40, 6, 0.3),
+        (60, 8, 1.0), (200, 16, 0.1), (301, 4, 0.7), (500, 16, 1.0),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_set_of_tuples_oracle(self, n, k, p, seed):
+        assert_same_sw(n, k, p, seed)
+
+    @pytest.mark.parametrize("n,k,p", [(5, 4, 1.0), (9, 8, 0.9)])
+    def test_saturated_rings_match_oracle(self, n, k, p):
+        # nearly complete: rewires hit the saturation skip and retry often
+        for seed in range(20):
+            assert_same_sw(n, k, p, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(12, 2), (15, 4), (30, 8), (11, 10)]),
+           st.sampled_from([0.05, 0.5, 1.0]))
+    def test_oracle_over_seeds(self, seed, nk, p):
+        assert_same_sw(*nk, p, seed)
+
     def test_edge_count_exact(self):
         for n, k, p in [(300, 16, 0.1), (1000, 8, 0.5), (50, 4, 1.0)]:
             g = generate(GeneratorConfig(model="sw", nodes=n, sw_k=k, sw_p=p, seed=2))

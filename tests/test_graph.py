@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsample.graph import (
+    DUMP_CHUNK,
     EdgeListParseError,
     Graph,
     build_graph,
@@ -23,6 +24,10 @@ from oracles import (
     star,
     union_find_components,
 )
+
+
+WHITESPACE = st.lists(st.sampled_from([" ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x85", "\u3000"]),
+                      max_size=3).map("".join)
 
 
 def load_text(text):
@@ -62,11 +67,35 @@ class TestLoader:
         assert np.array_equal(s.orig_ids, g.orig_ids)
         assert s.load_stats == g.load_stats
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(WHITESPACE, st.sampled_from(["", "#", "# 1 2", "%x", "1 2", "3\t-4 x"]),
+                              WHITESPACE).map("".join), max_size=30))
+    def test_skip_rule_is_strip_then_prefix(self, lines):
+        # a line is skipped when it is blank or its stripped text starts
+        # with a comment prefix, for every kind of whitespace str.strip knows
+        kept = [line for line in lines if line.strip() and not line.strip().startswith(("#", "%"))]
+        g = load_text("\n".join(["1 2"] + lines) + "\n")
+        s = g.load_stats
+        assert (s.lines_total, s.lines_skipped, s.edges_raw) == (len(lines) + 1,
+                                                                len(lines) - len(kept),
+                                                                len(kept) + 1)
+
     def test_malformed_line_number(self):
         with pytest.raises(EdgeListParseError, match="line 2"):
             load_text("1 2\nfoo bar\n")
         with pytest.raises(EdgeListParseError, match="line 3"):
             load_text("1 2\n2 3\n4\n")
+
+    @pytest.mark.parametrize("line", [f"{2**63} 1", f"1 {2**63}", f"{-2**63 - 1} 1",
+                                      f"1 {-2**63 - 1}", f"{10**30} {10**30}"])
+    def test_id_outside_int64_names_its_line(self, line):
+        with pytest.raises(EdgeListParseError, match=r"^line 3: node id outside int64"):
+            load_text(f"1 2\n# comment\n{line}\n")
+
+    def test_int64_extremes_load(self):
+        g = load_text(f"{-2**63} {2**63 - 1}\n0 {2**63 - 1}\n")
+        assert g.orig_ids.tolist() == [-2**63, 0, 2**63 - 1]
+        assert (g.n, g.m) == (3, 2)
 
     def test_empty_input_error(self):
         with pytest.raises(ValueError):
@@ -106,6 +135,41 @@ class TestLoader:
         assert g2.orig_ids.tolist() == list(range(g.n))  # identity remap
         dump_edge_list(g2, p2)
         assert p2.read_bytes() == p.read_bytes()
+
+
+def dump_oracle(g):
+    """The per-edge f-string writer that dump_edge_list replaced."""
+    return f"# n={g.n} m={g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edge_array().tolist())
+
+
+class TestDump:
+    @pytest.mark.parametrize("m", [0, 1, DUMP_CHUNK - 1, DUMP_CHUNK, DUMP_CHUNK + 1,
+                                   3 * DUMP_CHUNK + 17])
+    def test_bytes_match_per_edge_writer_and_round_trip(self, m, tmp_path):
+        # m edges of a path on m + 1 nodes plus a far isolated node; ids
+        # cross several digit widths, and m = 0 leaves the header alone
+        n = m + 1 + 10**6
+        g = build_graph(np.arange(m), np.arange(1, m + 1), n=n)
+        assert g.m == m
+        p = tmp_path / "dump.txt"
+        dump_edge_list(g, p)
+        assert p.read_bytes() == dump_oracle(g).encode()
+        if m == 0:
+            return  # the loader rejects an edge list with no edges
+        back = load_edge_list(p)
+        assert np.array_equal(back.orig_ids, np.arange(m + 1))
+        assert np.array_equal(back.indices, g.indices[:len(back.indices)])
+        assert np.array_equal(back.indptr, g.indptr[:m + 2])
+
+    def test_random_graph_spanning_chunks(self, tmp_path):
+        g = random_graph(400, 0.6, seed=3)
+        assert g.m > 2 * DUMP_CHUNK
+        p = tmp_path / "dump.txt"
+        dump_edge_list(g, p)
+        assert p.read_bytes() == dump_oracle(g).encode()
+        back = load_edge_list(p)
+        assert np.array_equal(back.indptr, g.indptr)
+        assert np.array_equal(back.indices, g.indices)
 
 
 class TestBuildGraph:

@@ -1,0 +1,58 @@
+"""Peak-memory guards for the edge-list and small-world paths.
+
+Each test takes the tracemalloc peak (numpy buffers included) of one call
+and divides it by the number of lines or edges. The bounds sit between
+the cost when every edge held Python objects (lists of ints, a set of
+tuples, one list per dumped edge: about 200 B per line, 246 and 159 B per
+edge) and the cost without them (about 144, 82 and 66), so a return to
+one Python object per edge fails them.
+"""
+
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from graphsample.generators import GeneratorConfig, generate
+from graphsample.graph import dump_edge_list, load_edge_list
+
+LOAD_BYTES_PER_LINE = 172
+SW_BYTES_PER_EDGE = 160
+DUMP_BYTES_PER_EDGE = 110
+
+
+def traced_peak(fn):
+    """(fn(), bytes allocated at the peak of the call beyond what was live before it)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def sw_graph():
+    return generate(GeneratorConfig(model="sw", nodes=20000))
+
+
+def test_load_edge_list_peak_per_line():
+    lines = 100_000
+    ids = np.random.default_rng(0).integers(0, 50_000, size=(lines, 2))
+    text = "".join(f"{a} {b}\n" for a, b in ids.tolist())
+    g, peak = traced_peak(lambda: load_edge_list(io.StringIO(text)))
+    assert g.load_stats.edges_raw == lines
+    assert peak / lines < LOAD_BYTES_PER_LINE
+
+
+def test_small_world_peak_per_edge():
+    g, peak = traced_peak(lambda: generate(GeneratorConfig(model="sw", nodes=20000)))
+    assert g.m == 160_000
+    assert peak / g.m < SW_BYTES_PER_EDGE
+
+
+def test_dump_edge_list_peak_per_edge(sw_graph, tmp_path):
+    _, peak = traced_peak(lambda: dump_edge_list(sw_graph, tmp_path / "sw.txt"))
+    assert peak / sw_graph.m < DUMP_BYTES_PER_EDGE
