@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "EdgeListParseError",
@@ -119,10 +118,13 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-        dst = self.indices.astype(np.int64)
-        keep = src < dst
-        return np.column_stack([src[keep], dst[keep]])
+        # int32 row ids compare with the int32 indices without an int64 copy of either
+        src = np.repeat(np.arange(self.n, dtype=self.indices.dtype), self.degrees())
+        keep = src < self.indices
+        out = np.empty((int(np.count_nonzero(keep)), 2), dtype=np.int64)
+        out[:, 0] = src[keep]
+        out[:, 1] = self.indices[keep]
+        return out
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -282,19 +284,30 @@ def induced_subgraph(g: Graph, nodes: Iterable[int] | np.ndarray) -> Graph:
 
 
 def largest_connected_component(g: Graph) -> np.ndarray:
-    """Sorted node ids of a maximum component; ties go to the smallest min id."""
+    """Sorted node ids of a maximum component; ties go to the smallest min id.
+
+    Components by hooking and pointer jumping (Shiloach & Vishkin 1982):
+    each round hooks every node, and the root it points to, under the
+    smallest parent among its neighbours, then jumps pointers until each
+    node points to a root. Parents only decrease, so at the fixpoint
+    every node is labelled with its component's smallest id.
+    """
     if g.n == 0:
         return np.zeros(0, dtype=np.int64)
-    adj = sparse.csr_matrix((np.ones(len(g.indices), dtype=np.int64), g.indices, g.indptr),
-                            shape=(g.n, g.n))
-    ncomp, labels = sparse.csgraph.connected_components(adj, directed=False)
-    sizes = np.bincount(labels, minlength=ncomp)
-    best = int(sizes.max())
-    candidates = np.flatnonzero(sizes == best)
-    # the first node carrying a label is that component's minimum id
-    first_seen = np.unique(labels, return_index=True)[1]
-    winner = candidates[int(np.argmin(first_seen[candidates]))]
-    return np.flatnonzero(labels == winner).astype(np.int64)
+    parent = np.arange(g.n)
+    busy = np.flatnonzero(g.degrees())    # reduceat needs non-empty rows
+    starts = g.indptr[busy]
+    changed = len(busy) > 0
+    while changed:
+        low = np.minimum.reduceat(parent[g.indices], starts)
+        before = parent.copy()
+        np.minimum.at(parent, parent[busy], low)
+        np.minimum.at(parent, busy, low)
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
+        changed = not np.array_equal(parent, before)
+    # argmax takes the first largest label, which is the smallest min id
+    return np.flatnonzero(parent == np.argmax(np.bincount(parent)))
 
 
 def validate(g: Graph) -> None:

@@ -434,12 +434,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _versions() -> dict:
-    import scipy
-    return {
-        "graphsample": _pkg_version,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
+    return {"graphsample": _pkg_version, "numpy": np.__version__}
 
 
 # ---------------------------------------------------------------------------

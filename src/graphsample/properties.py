@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy import sparse
 
 from .community import detect_communities, modularity
 from .graph import Graph, induced_subgraph, largest_connected_component
@@ -38,6 +37,7 @@ __all__ = [
 CC_BINS = 100           # uniform bins on [0, 1] for the clustering distribution
 EXACT_PATH_LIMIT = 5000  # LCC size up to which all-pairs BFS is used
 BFS_BUDGET = 16_000_000  # uint64 words in one BFS level's neighbour gather
+TRIANGLE_CHUNK = 1 << 16  # wedges checked in one pass of triangle_edge_counts
 # Keys the originals cache: bump it with any change that alters a report value.
 REPORT_VERSION = 1
 # The report's names, in bundle order: one raw.csv row per scalar of each cell,
@@ -158,20 +158,41 @@ def triangle_edge_counts(g: Graph) -> np.ndarray:
 
     Each edge is kept once, oriented from the lower to the higher node by
     (degree, id) rank (Schank & Wagner 2005; Latapy 2008), so a triangle
-    a < b < c is found once, as the path a -> b -> c closed by a -> c.
+    a < b < c is found once, as the wedge a -> b -> c closed by a -> c.
+    The wedges of a run of oriented edges a -> b are checked together, at
+    most TRIANGLE_CHUNK of them (an edge with more goes alone), each by a
+    searchsorted of a * n + c in the sorted keys of the oriented edges.
     """
-    degs = g.degrees()
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[np.argsort(degs, kind="stable")] = np.arange(g.n)   # by degree, then id
+    n, degs = g.n, g.degrees()
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(degs, kind="stable")] = np.arange(n)   # by degree, then id
     up = np.repeat(rank, degs) < rank[g.indices]
-    # masking keeps each row sorted, so the kept entries are already CSR; hi is lo transposed
-    lo, hi = (sparse.csr_matrix((np.ones(int(keep.sum()), dtype=np.int64), g.indices[keep],
-                                 np.concatenate(([0], np.cumsum(keep)))[g.indptr]), shape=(g.n, g.n))
-              for keep in (up, ~up))
-    outer = (lo @ lo).multiply(lo)    # [a, c]: triangles with lowest a and highest c
-    middle = (hi @ lo).multiply(lo)   # [b, c]: triangles with middle b and highest c
-    return (np.asarray(outer.sum(axis=1)).ravel() + np.asarray(outer.sum(axis=0)).ravel()
-            + np.asarray(middle.sum(axis=1)).ravel())
+    # masking keeps each row sorted, so the kept entries are a CSR of the oriented edges
+    head = g.indices[up]
+    ptr = np.concatenate(([0], np.cumsum(up)))[g.indptr]
+    out = np.diff(ptr)
+    tail = np.repeat(np.arange(n), out)
+    keys = np.append(tail * n + head, n * n)   # sorted; the last key tops every query
+    edge = np.flatnonzero(out[head])           # the edges a -> b that open a wedge
+    wedges = out[head[edge]]
+    ends = np.cumsum(wedges)
+    tri = np.zeros(n, dtype=np.int64)
+    first = 0
+    while first < len(edge):
+        last = max(first + 1, int(np.searchsorted(ends, ends[first] - wedges[first] + TRIANGLE_CHUNK,
+                                                  side="right")))
+        a, b, cnt = tail[edge[first:last]], head[edge[first:last]], wedges[first:last]
+        offs = np.cumsum(cnt) - cnt
+        c = head[np.arange(offs[-1] + cnt[-1]) + np.repeat(ptr[b] - offs, cnt)]
+        q = np.repeat(a * n, cnt) + c
+        rows = keys[ptr[a[0]]:ptr[a[-1] + 1] + 1]   # the tails' rows and one key above them
+        closed = rows[np.searchsorted(rows, q)] == q
+        hits = np.add.reduceat(closed, offs, dtype=np.int64)   # triangles on each a -> b
+        np.add.at(tri, a, hits)
+        np.add.at(tri, b, hits)
+        np.add.at(tri, c[closed], 1)
+        first = last
+    return tri
 
 
 def clustering(g: Graph) -> tuple[np.ndarray, float]:

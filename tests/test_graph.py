@@ -293,6 +293,21 @@ class TestLargestComponent:
         best = max(by_comp.values(), key=lambda s: (len(s), -min(s)))
         assert got == best
 
+    @pytest.mark.parametrize("shape", ["path", "caterpillar"])
+    def test_long_trees_with_shuffled_ids(self, shape):
+        # long chains between far-apart ids take the most hooking rounds;
+        # one extra isolated node must stay out
+        n = 100_000
+        perm = np.random.default_rng(3).permutation(n)
+        if shape == "path":
+            u, v = perm[:-1], perm[1:]
+        else:   # spine perm[:n/2], one leg from each spine node
+            half = n // 2
+            u = np.concatenate([perm[:half - 1], perm[:half]])
+            v = np.concatenate([perm[1:half], perm[half:]])
+        g = build_graph(u, v, n=n + 1)
+        assert np.array_equal(largest_connected_component(g), np.arange(n))
+
     def test_lcc_is_connected_and_maximal(self):
         g = random_graph(80, 0.02, seed=11)
         lcc = largest_connected_component(g)

@@ -1,11 +1,14 @@
-"""Peak-memory guards for the edge-list and small-world paths.
+"""Peak-memory guards for the edge-list, small-world and kernel paths.
 
 Each test takes the tracemalloc peak (numpy buffers included) of one call
 and divides it by the number of lines or edges. The bounds sit between
 the cost when every edge held Python objects (lists of ints, a set of
 tuples, one list per dumped edge: about 200 B per line, 246 and 159 B per
 edge) and the cost without them (about 144, 82 and 66), so a return to
-one Python object per edge fails them.
+one Python object per edge fails them. The triangle bound sits between
+scipy's sparse product, which builds every 2-path (356 B per edge on FF
+at n=20,000), and the chunked wedge check (62); the edge-array bound
+between int64 copies of both columns (66) and one int64 result (30).
 """
 
 import io
@@ -16,10 +19,13 @@ import pytest
 
 from graphsample.generators import GeneratorConfig, generate
 from graphsample.graph import dump_edge_list, load_edge_list
+from graphsample.properties import triangle_edge_counts
 
 LOAD_BYTES_PER_LINE = 172
 SW_BYTES_PER_EDGE = 160
 DUMP_BYTES_PER_EDGE = 110
+TRIANGLE_BYTES_PER_EDGE = 215
+EDGE_ARRAY_BYTES_PER_EDGE = 48
 
 
 def traced_peak(fn):
@@ -56,3 +62,15 @@ def test_small_world_peak_per_edge():
 def test_dump_edge_list_peak_per_edge(sw_graph, tmp_path):
     _, peak = traced_peak(lambda: dump_edge_list(sw_graph, tmp_path / "sw.txt"))
     assert peak / sw_graph.m < DUMP_BYTES_PER_EDGE
+
+
+def test_triangle_edge_counts_peak_per_edge():
+    g = generate(GeneratorConfig(model="ff", nodes=20000))
+    _, peak = traced_peak(lambda: triangle_edge_counts(g))
+    assert peak / g.m < TRIANGLE_BYTES_PER_EDGE
+
+
+def test_edge_array_peak_per_edge(sw_graph):
+    edges, peak = traced_peak(sw_graph.edge_array)
+    assert edges.shape == (sw_graph.m, 2)
+    assert peak / sw_graph.m < EDGE_ARRAY_BYTES_PER_EDGE

@@ -9,9 +9,11 @@ visiting order and tie-breaks, and its Q can fall a few hundredths below
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphsample.community import detect_communities, modularity
-from graphsample.graph import build_graph, induced_edges
+from graphsample.graph import build_graph, induced_edges, largest_connected_component
 from graphsample.properties import assortativity, clustering, path_length_stats
 from graphsample.samplers import _jump_candidates
 
@@ -52,6 +54,33 @@ def test_jump_candidates(pair):
             ball = nx.single_source_shortest_path_length(G, v, cutoff=depth)
             want = sorted(set(ball) - {v})
             assert _jump_candidates(g, v, depth).tolist() == want
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): up to 40 nodes, some of them isolated, and any pairs among them."""
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return 0, []
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.lists(pairs, max_size=60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+@example((0, []))                                    # empty graph
+@example((4, []))                                    # isolated nodes only: node 0 wins
+@example((7, [(5, 6), (1, 2), (3, 4)]))              # three equal pairs: {1, 2} wins
+@example((9, [(8, 7), (7, 6), (0, 5), (5, 4)]))      # equal paths; the one holding 0 wins
+def test_largest_connected_component(case):
+    n, edges = case
+    g = build_graph([a for a, _ in edges], [b for _, b in edges], n=n)
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(edges)
+    comps = list(nx.connected_components(G))
+    want = sorted(max(comps, key=lambda c: (len(c), -min(c)))) if comps else []
+    assert largest_connected_component(g).tolist() == want
 
 
 @pytest.mark.parametrize("g, v", [

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,16 @@ def test_perfbench_names_resolve():
             missing += [f"{path.name}: {mod}.{attr}" for mod, attr in refs
                         if not hasattr(importlib.import_module(mod), attr)]
     assert seen and not missing
+
+
+def test_no_scipy_sparse_in_package_processes():
+    """Importing the package and the CLI, and computing a report, leave scipy.sparse unloaded."""
+    code = ("import sys, graphsample, graphsample.cli\n"
+            "from graphsample.generators import GeneratorConfig, generate\n"
+            "from graphsample.properties import property_report\n"
+            "property_report(generate(GeneratorConfig(model='ff', nodes=300)))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    src = str(Path(graphsample.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

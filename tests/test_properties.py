@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphsample.community import detect_communities, modularity
 from graphsample import properties
+from graphsample.generators import GeneratorConfig, generate
 from graphsample.graph import build_graph, induced_subgraph
 from graphsample.properties import (
     CC_BINS,
@@ -84,6 +85,23 @@ class TestClustering:
             build_graph([], [], n=6),                  # edgeless
             build_graph([0, 1, 2], [1, 2, 0], n=7),    # triangle + isolated nodes
         ]
+        for g in graphs:
+            assert np.array_equal(triangle_edge_counts(g), triangles_per_node_oracle(g))
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_triangle_counts_in_small_chunks(self, monkeypatch, chunk):
+        # a hub joined to every node of cliques K3..K7, and the three models;
+        # chunks this small split every run, and an edge that opens more
+        # wedges than a chunk goes alone
+        us, vs, base = [], [], 1
+        for k in range(3, 8):
+            clique = range(base, base + k)
+            us += [a for a in clique for b in clique if a < b] + [0] * k
+            vs += [b for a in clique for b in clique if a < b] + list(clique)
+            base += k
+        graphs = [build_graph(us, vs)] + [generate(GeneratorConfig(model=model, nodes=300))
+                                          for model in ("ff", "sw", "mm")]
+        monkeypatch.setattr(properties, "TRIANGLE_CHUNK", chunk)
         for g in graphs:
             assert np.array_equal(triangle_edge_counts(g), triangles_per_node_oracle(g))
 
