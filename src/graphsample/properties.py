@@ -36,7 +36,8 @@ __all__ = [
 
 CC_BINS = 100           # uniform bins on [0, 1] for the clustering distribution
 EXACT_PATH_LIMIT = 5000  # LCC size up to which all-pairs BFS is used
-BFS_BUDGET = 16_000_000  # uint64 words in one BFS level's neighbour gather
+BFS_BUDGET = 1 << 18     # uint64 words (2 MB) in one BFS frontier and in one neighbour gather
+BFS_PAD = 1 << 13        # padding words that cost about as much as one more gather call
 TRIANGLE_CHUNK = 1 << 16  # wedges checked in one pass of triangle_edge_counts
 # Keys the originals cache: bump it with any change that alters a report value.
 REPORT_VERSION = 1
@@ -211,46 +212,81 @@ def clustering(g: Graph) -> tuple[np.ndarray, float]:
 # Path length
 
 
+def _buckets(degs: np.ndarray, first: int, words: int) -> list[tuple[int, int]]:
+    """Row ranges [a, b) that cover rows ``first``.. of the ascending ``degs``.
+
+    Padding a range's rows to its last (largest) degree adds entries of
+    ``words`` words each; each range is as long as that keeps the padded
+    entries below twice its real ones and the added words within BFS_PAD.
+    A range of one degree adds none, so it always fits.
+    """
+    ends = np.append(np.flatnonzero(np.diff(degs[first:])) + first + 1, len(degs))
+    below = np.concatenate(([0], np.cumsum(degs)))
+    cuts = [first]
+    while cuts[-1] < len(degs):
+        a = cuts[-1]
+        b = ends[np.searchsorted(ends, a, side="right"):]
+        padded, real = (b - a) * degs[b - 1], below[b] - below[a]
+        fits = (padded < 2 * real) & ((padded - real) * words <= BFS_PAD)
+        cuts.append(int(b[np.flatnonzero(fits)[-1]]))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def _hop_histogram(g: Graph, src: np.ndarray) -> np.ndarray:
     """hist[h] = number of (source, target) pairs h >= 1 hops apart; hist[0] = 0.
 
     Bit-parallel multi-source BFS (Then et al., VLDB 2014): bit s of a
     node's row of uint64 words marks that source s has reached it, and one
-    level ORs the frontier rows of every node's neighbours through a CSR
-    gather. Sources run in blocks of words, and the node range in chunks,
-    so that one gather holds at most BFS_BUDGET words (a single larger row
-    goes alone). Every node needs a neighbour: reduceat repeats a row
-    instead of reducing an empty one.
+    level ORs the frontier rows of every node's neighbours. Nodes are
+    relabelled by (degree, id) and cut into a few buckets (``_buckets``);
+    a bucket's neighbour lists are padded to its largest degree with an
+    all-zero row ``n``, so one level is a gather and an OR over the
+    padded axis per bucket. Sources run in blocks of as many words as
+    keep the frontier within BFS_BUDGET words (at least one), and a
+    bucket's rows in chunks, so that one gather holds at most BFS_BUDGET
+    words (a single larger row goes alone). Isolated nodes reach nothing
+    and are skipped.
     """
-    indptr, indices = g.indptr, g.indices
-    words = min(-(-len(src) // 64), max(1, BFS_BUDGET // len(indices)))
-    cap = BFS_BUDGET // words
-    cuts = [0]
-    while cuts[-1] < g.n:
-        a = cuts[-1]
-        b = int(np.searchsorted(indptr, indptr[a] + cap, side="right")) - 1
-        cuts.append(max(b, a + 1))   # a row larger than cap goes alone
+    n, degs = g.n, g.degrees()
+    order = np.argsort(degs, kind="stable")
+    degs, starts = degs[order], g.indptr[order]
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    live = int(np.searchsorted(degs, 1))    # isolated nodes sort first
+    blocks = -(-len(src) // (64 * max(1, BFS_BUDGET // n)))   # the frontier within the budget
+    words = -(-len(src) // (64 * blocks))                      # spread evenly over the blocks
+    chunks = []
+    for a, b in _buckets(degs, live, words):
+        width = int(degs[b - 1])
+        step = max(1, BFS_BUDGET // (width * words))
+        for lo in range(a, b, step):
+            hi = min(lo + step, b)
+            at = starts[lo:hi] + np.arange(width)[:, None]   # (width, rows) positions in indices
+            real = at < starts[lo:hi] + degs[lo:hi]
+            chunks.append((lo, hi, np.where(real, pos[g.indices[np.where(real, at, 0)]], n)))
+    buf = np.empty(max((idx.size for _, _, idx in chunks), default=0) * words, dtype=np.uint64)
+    chunks = [(lo, hi, idx, buf[:idx.size * words].reshape(*idx.shape, words)) for lo, hi, idx in chunks]
     hist = [0]
     for first in range(0, len(src), 64 * words):
-        block = src[first:first + 64 * words]
+        block = pos[src[first:first + 64 * words]]
         bits = np.arange(len(block), dtype=np.uint64)
-        frontier = np.zeros((g.n, words), dtype=np.uint64)
+        frontier = np.zeros((n + 1, words), dtype=np.uint64)   # row n stays zero
         frontier[block, bits // 64] = np.uint64(1) << bits % 64
-        unseen = ~frontier
-        nxt = np.empty_like(frontier)
-        for level in range(1, g.n):
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                lo = indptr[a]
-                nxt[a:b] = np.bitwise_or.reduceat(
-                    frontier[indices[lo:indptr[b]]], indptr[a:b] - lo, axis=0)
-            nxt &= unseen
-            found = int(np.bitwise_count(nxt).sum())
+        unseen = ~frontier[live:n]
+        nxt = np.zeros_like(frontier)
+        for level in range(1, n):
+            for lo, hi, idx, got in chunks:
+                frontier.take(idx, axis=0, out=got, mode="clip")
+                np.bitwise_or.reduce(got, axis=0, out=nxt[lo:hi])
+            reached = nxt[live:n]
+            reached &= unseen
+            found = int(np.bitwise_count(reached).sum())
             if not found:
                 break
             if level == len(hist):
                 hist.append(0)
             hist[level] += found
-            unseen ^= nxt
+            unseen ^= reached
             frontier, nxt = nxt, frontier
     return np.array(hist, dtype=np.int64)
 
@@ -268,7 +304,7 @@ def path_length_stats(
     the ordered-pair mean. ``auto`` picks exact up to EXACT_PATH_LIMIT
     nodes. Both modes count hops with one bit-parallel multi-source BFS
     (``_hop_histogram``): 64 sources per uint64 word, frontiers expanded
-    by CSR gathers of at most BFS_BUDGET words (128 MB) per level.
+    by padded neighbour gathers of at most BFS_BUDGET words each.
     Returns (mean, distribution, flags).
     """
     if g.n < 2 or g.m < 1:
@@ -278,7 +314,7 @@ def path_length_stats(
     if sources < 1:
         raise ValueError(f"path sources must be >= 1, not {sources}")
     lcc = largest_connected_component(g)
-    sub = induced_subgraph(g, lcc)
+    sub = g if len(lcc) == g.n else induced_subgraph(g, lcc)   # a connected g is its own LCC
     nl = sub.n
     if nl < 2:
         raise ValueError("largest component has no edges")

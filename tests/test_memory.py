@@ -9,6 +9,10 @@ one Python object per edge fails them. The triangle bound sits between
 scipy's sparse product, which builds every 2-path (356 B per edge on FF
 at n=20,000), and the chunked wedge check (62); the edge-array bound
 between int64 copies of both columns (66) and one int64 result (30).
+The exact path bound on FF n=2,000 sits between one level's unpadded
+CSR gather and ``reduceat`` (660 B per edge; SW and MM 654-655) and
+padded buckets gathered in chunks of BFS_BUDGET words (203; SW and MM
+217-276).
 """
 
 import io
@@ -19,13 +23,14 @@ import pytest
 
 from graphsample.generators import GeneratorConfig, generate
 from graphsample.graph import dump_edge_list, load_edge_list
-from graphsample.properties import triangle_edge_counts
+from graphsample.properties import path_length_stats, triangle_edge_counts
 
 LOAD_BYTES_PER_LINE = 172
 SW_BYTES_PER_EDGE = 160
 DUMP_BYTES_PER_EDGE = 110
 TRIANGLE_BYTES_PER_EDGE = 215
 EDGE_ARRAY_BYTES_PER_EDGE = 48
+PATH_BYTES_PER_EDGE = 450
 
 
 def traced_peak(fn):
@@ -74,3 +79,10 @@ def test_edge_array_peak_per_edge(sw_graph):
     edges, peak = traced_peak(sw_graph.edge_array)
     assert edges.shape == (sw_graph.m, 2)
     assert peak / sw_graph.m < EDGE_ARRAY_BYTES_PER_EDGE
+
+
+def test_exact_path_peak_per_edge():
+    g = generate(GeneratorConfig(model="ff", nodes=2000))
+    (_, _, flags), peak = traced_peak(lambda: path_length_stats(g, mode="exact"))
+    assert flags["path_sources"] == g.n
+    assert peak / g.m < PATH_BYTES_PER_EDGE
