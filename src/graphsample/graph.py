@@ -169,7 +169,9 @@ def build_graph(
     if u.shape != v.shape:
         raise ValueError("endpoint arrays differ in length")
     keep = u != v
-    u, v = u[keep], v[keep]
+    if not keep.all():   # the loader and the generators pass no self-loops
+        u, v = u[keep], v[keep]
+    del keep
     if n is None:
         n = int(max(u.max(initial=-1), v.max(initial=-1))) + 1
     if len(u) and (u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n):

@@ -7,11 +7,15 @@ summation of definitions. Slow on purpose, trusted by inspection.
 as the reference partition for the CSR implementation, and
 ``small_world_oracle`` the earlier set-of-tuples Watts-Strogatz
 generator, kept as the reference for the implicit-lattice one.
+``forest_fire_oracle`` and ``mixed_model_oracle`` are the earlier
+generators that call ``np.random.Generator`` once per draw, kept as the
+reference for the ones that decode raw PCG64 words.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -420,3 +424,82 @@ def dijkstra_path_oracle(g: Graph, mode: str, sources: int = 256, seed: int = 0)
     d = csgraph.dijkstra(a, directed=False, unweighted=True, indices=src)
     d = d[np.isfinite(d) & (d > 0)].astype(np.int64)
     return float(d.sum()) / len(d), np.bincount(d)
+
+
+def forest_fire_oracle(n: int, pf: float, rng: np.random.Generator) -> Graph:
+    """Forward-burning forest fire with one Generator call per draw.
+
+    ``rng.integers`` for the ambassador, ``rng.geometric`` for each burn
+    count and ``rng.choice(..., replace=False)`` for the burned subset.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    us: list[int] = []
+    vs: list[int] = []
+    for v in range(1, n):
+        w = int(rng.integers(v))
+        visited = {w}
+        queue = deque([w])
+        burned = [w]
+        while queue:
+            x = queue.popleft()
+            # geometric(p) has support {1, 2, ...}; shift to {0, 1, ...}
+            count = int(rng.geometric(1.0 - pf)) - 1
+            if count <= 0:
+                continue
+            fresh = [y for y in adj[x] if y not in visited]
+            if not fresh:
+                continue
+            if count < len(fresh):
+                picked = rng.choice(len(fresh), size=count, replace=False)
+                chosen = [fresh[i] for i in sorted(picked)]
+            else:
+                chosen = fresh
+            for y in chosen:
+                visited.add(y)
+                queue.append(y)
+                burned.append(y)
+        for x in burned:
+            us.append(v)
+            vs.append(x)
+            adj[v].append(x)
+            adj[x].append(v)
+    return build_graph(us, vs, n=n)
+
+
+def mixed_model_oracle(n: int, k: int, beta: float, rng: np.random.Generator) -> Graph:
+    """Mixed-attachment growth with one Generator call per draw.
+
+    ``rng.random()`` picks preferential or uniform, then one
+    ``rng.integers`` picks the endpoint.
+    """
+    n0 = k + 1
+    us: list[int] = []
+    vs: list[int] = []
+    pool: list[int] = []   # one entry per edge endpoint: degree-proportional draws
+    for a in range(n0):
+        for b in range(a + 1, n0):
+            us.append(a)
+            vs.append(b)
+            pool.append(a)
+            pool.append(b)
+    for v in range(n0, n):
+        targets: list[int] = []
+        seen = {v}
+        attempts = 0
+        want = min(k, v)
+        while len(targets) < want and attempts < 20 * k:
+            attempts += 1
+            if rng.random() < beta:
+                cand = pool[int(rng.integers(len(pool)))]
+            else:
+                cand = int(rng.integers(v))
+            if cand in seen:
+                continue
+            seen.add(cand)
+            targets.append(cand)
+        for t in targets:
+            us.append(v)
+            vs.append(t)
+            pool.append(v)
+            pool.append(t)
+    return build_graph(us, vs, n=n)

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphsample.generators import (
+    CHUNK,
     FF_DEFAULT_PF,
     GeneratorConfig,
+    _Draws,
+    calibrate_forest_fire,
     calibrate_parameter,
     forest_fire,
     generate,
@@ -15,7 +20,7 @@ from graphsample.generators import (
 from graphsample.graph import largest_connected_component, validate
 from graphsample.properties import path_length_stats
 
-from oracles import floyd_warshall_oracle, small_world_oracle
+from oracles import floyd_warshall_oracle, forest_fire_oracle, mixed_model_oracle, small_world_oracle
 
 
 @pytest.mark.parametrize("model", ["ff", "sw", "mm"])
@@ -99,6 +104,155 @@ class TestForestFire:
         # calibrate against a cheap synthetic monotone curve
         got = calibrate_parameter(lambda p: p * p, target=0.25, lo=0.0, hi=1.0, iterations=30)
         assert got == pytest.approx(0.5, abs=1e-6)
+
+
+def assert_same_as_oracle(fn, oracle, args, seed, primed):
+    """Same CSR as the oracle, and the caller's Generator left in the same state."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    if primed:   # one integers() call leaves a spare 32-bit half buffered
+        rng.integers(5)
+        twin.integers(5)
+    got, want = fn(*args, rng), oracle(*args, twin)
+    assert np.array_equal(got.indptr, want.indptr), args
+    assert np.array_equal(got.indices, want.indices), args
+    assert rng.bit_generator.state == twin.bit_generator.state, args
+
+
+# p = 1 - pf: 2/3 keeps numpy's geometric search (p >= 1/3), one ulp above
+# it and 0.7 take the inversion that _Draws hands to the Generator
+FF_PFS = [FF_DEFAULT_PF, 0.6, math.nextafter(2 / 3, 0), 2 / 3, math.nextafter(2 / 3, 1), 0.7]
+
+
+class TestForestFireOracle:
+    @pytest.mark.parametrize("pf", FF_PFS)
+    def test_matches_per_call_oracle(self, pf):
+        assert_same_as_oracle(forest_fire, forest_fire_oracle, (120, pf), seed=3, primed=False)
+
+    def test_desk_size_matches_oracle(self):
+        assert_same_as_oracle(forest_fire, forest_fire_oracle, (2000, FF_DEFAULT_PF), seed=11,
+                              primed=True)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(3, 400), st.sampled_from(FF_PFS), st.integers(0, 2**32 - 1), st.booleans())
+    def test_oracle_over_seeds(self, n, pf, seed, primed):
+        assert_same_as_oracle(forest_fire, forest_fire_oracle, (n, pf), seed, primed)
+
+
+@pytest.mark.parametrize("n,k,p", [(10, 2, 1.0), (200, 16, 0.1), (301, 4, 0.7), (9, 8, 0.9)])
+@pytest.mark.parametrize("primed", [False, True])
+def test_small_world_leaves_oracle_state(n, k, p, primed):
+    assert_same_as_oracle(small_world, small_world_oracle, (n, k, p), seed=5, primed=primed)
+
+
+class TestMixedModelOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(3, 400), st.sampled_from([0.0, 0.5, 1.0]),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_oracle_over_seeds(self, data, n, beta, seed, primed):
+        # k small, or near n where the clique is most of the graph
+        k = data.draw(st.integers(1, min(12, n - 1)) | st.integers(max(1, n - 4), n - 1))
+        assert_same_as_oracle(mixed_model, mixed_model_oracle, (n, k, beta), seed, primed)
+
+    def test_desk_size_matches_oracle(self):
+        assert_same_as_oracle(mixed_model, mixed_model_oracle, (2000, 8, 0.5), seed=11, primed=True)
+
+
+def twin_until_below(twin, p, limit):
+    passed = 0
+    while passed < limit and twin.random() >= p:
+        passed += 1
+    return passed
+
+
+# 2**31 + 1 and 3 * 2**30 reject about half and a quarter of their first draws
+BOUNDS = (st.sampled_from([1, 2, 3, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**40])
+          | st.integers(1, 10**6))
+# both sides of numpy's search/inversion switch at 1/3, and p = 1
+PS = st.sampled_from([1e-3, 0.3, math.nextafter(1 / 3, 0), 1 / 3, math.nextafter(1 / 3, 1), 0.5, 0.9, 1.0])
+SAMPLES = (st.integers(1, 300).flatmap(lambda pop: st.tuples(st.just(pop), st.integers(0, pop)))
+           # numpy's Floyd branch up to pop // 50 at pop > 10000, its tail shuffle above
+           | st.sampled_from([(20000, 400), (20000, 401), (20000, 1000), (9000, 4500)]))
+OPS = st.one_of(
+    st.tuples(st.just("double")),
+    st.tuples(st.just("doubles"), st.integers(1, 3 * CHUNK)),
+    st.tuples(st.just("below"), BOUNDS),
+    st.tuples(st.just("burn"), PS),
+    st.tuples(st.just("sample"), SAMPLES),
+    st.tuples(st.just("until"), st.sampled_from([1e-4, 0.1, 0.9]), st.integers(0, 3 * CHUNK)),
+    st.tuples(st.just("finish")),
+)
+
+
+class TestDraws:
+    """Every _Draws method against the Generator call it decodes, on a twin Generator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(OPS, max_size=25), st.integers(0, 2**32 - 1), st.booleans())
+    @example(ops=[("below", k) for k in (1, 2, 2**31, 2**31 + 1, 2**32 - 1, 3, 2**32, 2**40)] * 5
+             + [("burn", p) for p in (0.3, 1 / 3, 0.34, 1e-3, 0.5)] * 5, seed=1, primed=True)
+    @example(ops=[("sample", (20000, 1000)), ("double",), ("sample", (20000, 400)), ("below", 3),
+              ("sample", (20000, 401)), ("sample", (250, 100)), ("finish",), ("sample", (7, 7))],
+             seed=2, primed=False)
+    @example(ops=[("below", 5), ("doubles", CHUNK + 3), ("until", 1e-4, 3 * CHUNK), ("below", 9),
+              ("until", 0.9, 5), ("burn", 0.5), ("doubles", 2 * CHUNK)], seed=3, primed=True)
+    def test_matches_generator(self, ops, seed, primed):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if primed:
+            rng.integers(5)
+            twin.integers(5)
+        draws = _Draws(rng)
+        for op, *args in ops:
+            if op == "double":
+                assert draws.double() == twin.random()
+            elif op == "doubles":
+                got = [draws.double() for _ in range(args[0])]
+                assert got == twin.random(args[0]).tolist()
+            elif op == "below":
+                assert draws.below(args[0]) == int(twin.integers(args[0])), args
+            elif op == "burn":
+                assert draws.burn(args[0]) == int(twin.geometric(args[0])) - 1, args
+            elif op == "sample":
+                pop, size = args[0]
+                assert draws.sample_sorted(pop, size) == sorted(twin.choice(pop, size, replace=False).tolist())
+            elif op == "until":
+                assert draws.until_below(*args) == twin_until_below(twin, *args), args
+            else:
+                draws.finish()
+                assert rng.bit_generator.state == twin.bit_generator.state
+        draws.finish()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_long_run_crosses_fetches(self):
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        draws = _Draws(rng)
+        got = [draws.below(7) for _ in range(5 * CHUNK)]
+        assert got == twin.integers(7, size=5 * CHUNK).tolist()
+        draws.finish()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_rejects_other_bit_generators(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            forest_fire(50, FF_DEFAULT_PF, np.random.Generator(np.random.MT19937(0)))
+
+
+class TestCalibration:
+    # values computed with the per-call generators, before the decoder
+    def test_default_target_value(self):
+        assert calibrate_forest_fire(n=400, seeds=(0,), iterations=6) == 0.50390625
+
+    def test_inversion_branch_keeps_value(self, monkeypatch):
+        # a high target walks pf past 2/3, where each burn count is a
+        # geometric draw of the Generator itself
+        calls = []
+
+        class Spy(np.random.Generator):
+            def geometric(self, p, size=None):
+                calls.append(p)
+                return super().geometric(p, size)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Spy(np.random.PCG64(seed)))
+        assert calibrate_forest_fire(120.0, n=200, seeds=(0,), iterations=6) == 0.70078125
+        assert calls and max(calls) < 1 / 3
 
 
 class TestMixedModel:
