@@ -3,8 +3,8 @@
 Local: degree, clustering coefficient, path length. Global: global
 clustering (transitivity), degree assortativity, modularity of a
 detected partition. ``clustering`` gives local and global clustering
-from one triangle count. Path lengths are computed on the largest
-connected component; everything else uses the whole graph.
+from one triangle count. Path lengths walk the largest connected
+component inside the graph; everything else uses the whole graph.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from .community import detect_communities, modularity
+# induced_subgraph is unused here; perfbench/tracing.py rebinds it by this name
 from .graph import Graph, induced_subgraph, largest_connected_component
 
 __all__ = [
@@ -212,17 +213,17 @@ def clustering(g: Graph) -> tuple[np.ndarray, float]:
 # Path length
 
 
-def _buckets(degs: np.ndarray, first: int, words: int) -> list[tuple[int, int]]:
-    """Row ranges [a, b) that cover rows ``first``.. of the ascending ``degs``.
+def _buckets(degs: np.ndarray, words: int) -> list[tuple[int, int]]:
+    """Row ranges [a, b) that cover the ascending ``degs``.
 
     Padding a range's rows to its last (largest) degree adds entries of
     ``words`` words each; each range is as long as that keeps the padded
     entries below twice its real ones and the added words within BFS_PAD.
     A range of one degree adds none, so it always fits.
     """
-    ends = np.append(np.flatnonzero(np.diff(degs[first:])) + first + 1, len(degs))
+    ends = np.append(np.flatnonzero(np.diff(degs)) + 1, len(degs))
     below = np.concatenate(([0], np.cumsum(degs)))
-    cuts = [first]
+    cuts = [0]
     while cuts[-1] < len(degs):
         a = cuts[-1]
         b = ends[np.searchsorted(ends, a, side="right"):]
@@ -232,31 +233,31 @@ def _buckets(degs: np.ndarray, first: int, words: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _hop_histogram(g: Graph, src: np.ndarray) -> np.ndarray:
+def _hop_histogram(g: Graph, src: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """hist[h] = number of (source, target) pairs h >= 1 hops apart; hist[0] = 0.
 
-    Bit-parallel multi-source BFS (Then et al., VLDB 2014): bit s of a
-    node's row of uint64 words marks that source s has reached it, and one
-    level ORs the frontier rows of every node's neighbours. Nodes are
-    relabelled by (degree, id) and cut into a few buckets (``_buckets``);
-    a bucket's neighbour lists are padded to its largest degree with an
-    all-zero row ``n``, so one level is a gather and an OR over the
-    padded axis per bucket. Sources run in blocks of as many words as
-    keep the frontier within BFS_BUDGET words (at least one), and a
-    bucket's rows in chunks, so that one gather holds at most BFS_BUDGET
-    words (a single larger row goes alone). Isolated nodes reach nothing
-    and are skipped.
+    Bit-parallel multi-source BFS (Then et al., VLDB 2014) from ``src``
+    over ``nodes``, the sorted ids of whole components of g with no
+    isolated node: bit s of a node's row of uint64 words marks that
+    source s has reached it, and one level ORs the frontier rows of every
+    node's neighbours. ``nodes`` are relabelled by (degree, id) and cut
+    into a few buckets (``_buckets``); a bucket's neighbour lists are
+    padded to its largest degree with an all-zero row ``len(nodes)``, so
+    one level is a gather and an OR over the padded axis per bucket.
+    Sources run in blocks of as many words as keep the frontier within
+    BFS_BUDGET words (at least one), and a bucket's rows in chunks of at
+    most BFS_BUDGET gathered words (a single larger row goes alone).
     """
-    n, degs = g.n, g.degrees()
+    degs = g.degrees()[nodes]
     order = np.argsort(degs, kind="stable")
-    degs, starts = degs[order], g.indptr[order]
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    live = int(np.searchsorted(degs, 1))    # isolated nodes sort first
+    n, degs, rows = len(nodes), degs[order], nodes[order]
+    starts = g.indptr[rows]
+    pos = np.empty(g.n, dtype=np.int64)     # read only at ids in ``nodes``
+    pos[rows] = np.arange(n)
     blocks = -(-len(src) // (64 * max(1, BFS_BUDGET // n)))   # the frontier within the budget
     words = -(-len(src) // (64 * blocks))                      # spread evenly over the blocks
     chunks = []
-    for a, b in _buckets(degs, live, words):
+    for a, b in _buckets(degs, words):
         width = int(degs[b - 1])
         step = max(1, BFS_BUDGET // (width * words))
         for lo in range(a, b, step):
@@ -264,7 +265,7 @@ def _hop_histogram(g: Graph, src: np.ndarray) -> np.ndarray:
             at = starts[lo:hi] + np.arange(width)[:, None]   # (width, rows) positions in indices
             real = at < starts[lo:hi] + degs[lo:hi]
             chunks.append((lo, hi, np.where(real, pos[g.indices[np.where(real, at, 0)]], n)))
-    buf = np.empty(max((idx.size for _, _, idx in chunks), default=0) * words, dtype=np.uint64)
+    buf = np.empty(max(idx.size for _, _, idx in chunks) * words, dtype=np.uint64)
     chunks = [(lo, hi, idx, buf[:idx.size * words].reshape(*idx.shape, words)) for lo, hi, idx in chunks]
     hist = [0]
     for first in range(0, len(src), 64 * words):
@@ -272,13 +273,13 @@ def _hop_histogram(g: Graph, src: np.ndarray) -> np.ndarray:
         bits = np.arange(len(block), dtype=np.uint64)
         frontier = np.zeros((n + 1, words), dtype=np.uint64)   # row n stays zero
         frontier[block, bits // 64] = np.uint64(1) << bits % 64
-        unseen = ~frontier[live:n]
+        unseen = ~frontier[:n]
         nxt = np.zeros_like(frontier)
         for level in range(1, n):
             for lo, hi, idx, got in chunks:
                 frontier.take(idx, axis=0, out=got, mode="clip")
                 np.bitwise_or.reduce(got, axis=0, out=nxt[lo:hi])
-            reached = nxt[live:n]
+            reached = nxt[:n]
             reached &= unseen
             found = int(np.bitwise_count(reached).sum())
             if not found:
@@ -313,19 +314,16 @@ def path_length_stats(
         raise ValueError(f"unknown path mode {mode!r}")
     if sources < 1:
         raise ValueError(f"path sources must be >= 1, not {sources}")
-    lcc = largest_connected_component(g)
-    sub = g if len(lcc) == g.n else induced_subgraph(g, lcc)   # a connected g is its own LCC
-    nl = sub.n
-    if nl < 2:
-        raise ValueError("largest component has no edges")
+    lcc = largest_connected_component(g)   # at least one edge, so no isolated node
+    nl = len(lcc)
     if mode == "auto":
         mode = "exact" if nl <= EXACT_PATH_LIMIT else "sampled"
     if mode == "exact":
-        src = np.arange(nl)
+        src = lcc
     else:
         rng = np.random.default_rng(seed)
-        src = np.sort(rng.choice(nl, size=min(sources, nl), replace=False))
-    hist = _hop_histogram(sub, src)
+        src = lcc[np.sort(rng.choice(nl, size=min(sources, nl), replace=False))]
+    hist = _hop_histogram(g, src, lcc)
     mean = float(hist @ np.arange(len(hist)) / hist.sum())
     support = np.flatnonzero(hist)
     dist = Distribution(support=support.astype(np.int64), pmf=hist[support] / hist.sum())

@@ -12,7 +12,10 @@ between int64 copies of both columns (66) and one int64 result (30).
 The exact path bound on FF n=2,000 sits between one level's unpadded
 CSR gather and ``reduceat`` (660 B per edge; SW and MM 654-655) and
 padded buckets gathered in chunks of BFS_BUDGET words (203; SW and MM
-217-276).
+217-276). The sampled path bound on SW n=20,000 plus 2,000 five-node
+paths (the LCC is two thirds of the nodes) sits between rebuilding the
+LCC as a graph of its own (72 B per edge; FF and MM the same) and
+walking it inside the graph (47; FF and MM 39-43).
 """
 
 import io
@@ -22,7 +25,7 @@ import numpy as np
 import pytest
 
 from graphsample.generators import GeneratorConfig, generate
-from graphsample.graph import dump_edge_list, load_edge_list
+from graphsample.graph import build_graph, dump_edge_list, load_edge_list
 from graphsample.properties import path_length_stats, triangle_edge_counts
 
 LOAD_BYTES_PER_LINE = 172
@@ -31,6 +34,7 @@ DUMP_BYTES_PER_EDGE = 110
 TRIANGLE_BYTES_PER_EDGE = 215
 EDGE_ARRAY_BYTES_PER_EDGE = 48
 PATH_BYTES_PER_EDGE = 450
+FRAGMENTED_PATH_BYTES_PER_EDGE = 60
 
 
 def traced_peak(fn):
@@ -86,3 +90,13 @@ def test_exact_path_peak_per_edge():
     (_, _, flags), peak = traced_peak(lambda: path_length_stats(g, mode="exact"))
     assert flags["path_sources"] == g.n
     assert peak / g.m < PATH_BYTES_PER_EDGE
+
+
+def test_fragmented_sampled_path_peak_per_edge(sw_graph):
+    ea = sw_graph.edge_array()
+    first = sw_graph.n + 5 * np.arange(2000, dtype=np.int64)[:, None]
+    g = build_graph(np.concatenate([ea[:, 0], (first + np.arange(4)).ravel()]),
+                    np.concatenate([ea[:, 1], (first + np.arange(1, 5)).ravel()]), n=sw_graph.n + 10_000)
+    (_, _, flags), peak = traced_peak(lambda: path_length_stats(g, mode="sampled"))
+    assert flags["lcc_fraction"] == 2 / 3
+    assert peak / g.m < FRAGMENTED_PATH_BYTES_PER_EDGE

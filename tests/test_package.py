@@ -31,9 +31,16 @@ def test_cli_imports_only_public_names():
     assert not private
 
 
-def test_traced_names_resolve():
-    """Every name the benchmark's tracer rebinds still exists in the package."""
+def test_traced_names_resolve(monkeypatch):
+    """Every name the benchmark's tracer rebinds still exists in the package.
+
+    A dropped name would break only the traced benchmark runs. The tracer's
+    file is loaded without writing its bytecode next to it.
+    """
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    if not path.is_file():
+        pytest.skip("no perfbench/tracing.py in this tree")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)

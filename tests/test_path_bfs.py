@@ -4,7 +4,8 @@ LCC sizes straddle the 64-source word (63, 64, 65) and reach a 17-word
 block (1025). Small budgets force several source blocks and several
 gather chunks per degree bucket, down to a hub whose padded row alone
 exceeds the budget. A uniform random tree of 3,000 nodes runs for about
-a hundred levels in both modes.
+a hundred levels in both modes. Direct kernel calls walk a graph's
+non-isolated nodes, or a union of some of its components, in place.
 """
 
 from functools import cache
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsample import properties
+from graphsample import graph, properties
 from graphsample.graph import build_graph, induced_subgraph, largest_connected_component
 from graphsample.properties import _hop_histogram, path_length_stats
 
@@ -46,6 +47,16 @@ def uniform_tree(n: int, seed: int):
         cur = v
     assert len(seen) == n
     return build_graph(us, vs, n=n)
+
+
+def hop_hist(g, src: np.ndarray) -> np.ndarray:
+    """``_hop_histogram`` over g's non-isolated nodes from the sources among them.
+
+    An isolated source reaches nothing, so dropping it leaves the histogram as it is.
+    """
+    nodes = np.flatnonzero(g.degrees())
+    src = src[np.isin(src, nodes)]
+    return _hop_histogram(g, src, nodes) if len(src) else np.zeros(1, dtype=np.int64)
 
 
 def sparse_hop_oracle(g, src: np.ndarray) -> np.ndarray:
@@ -109,7 +120,7 @@ def test_matches_dijkstra(name, mode, budget, monkeypatch):
 def test_deep_tree(mode, budget, monkeypatch):
     patch_budget(monkeypatch, budget, DEEP.n)
     src, want = deep_case(mode)
-    hist = _hop_histogram(DEEP, src)
+    hist = hop_hist(DEEP, src)
     assert len(hist) > 100
     assert np.array_equal(hist, want)
 
@@ -119,24 +130,24 @@ def test_hand_computed_histograms(budget, monkeypatch):
     if budget == "tiny":
         monkeypatch.setattr(properties, "BFS_BUDGET", 3)
     # path on 5 nodes: 2 (5 - h) ordered pairs at h hops
-    assert _hop_histogram(path_graph(5), np.arange(5)).tolist() == [0, 8, 6, 4, 2]
+    assert hop_hist(path_graph(5), np.arange(5)).tolist() == [0, 8, 6, 4, 2]
     # sources at both ends of that path: one node at each of 1..4 hops from each
-    assert _hop_histogram(path_graph(5), np.array([0, 4])).tolist() == [0, 2, 2, 2, 2]
+    assert hop_hist(path_graph(5), np.array([0, 4])).tolist() == [0, 2, 2, 2, 2]
     # hub plus 5 leaves: 10 hub-leaf pairs at 1 hop, 5 * 4 leaf-leaf pairs at 2
-    assert _hop_histogram(star(6), np.arange(6)).tolist() == [0, 10, 20]
-    assert _hop_histogram(star(6), np.array([3])).tolist() == [0, 1, 4]
+    assert hop_hist(star(6), np.arange(6)).tolist() == [0, 10, 20]
+    assert hop_hist(star(6), np.array([3])).tolist() == [0, 1, 4]
 
 
 def test_hub_row_over_budget(monkeypatch):
     # one word per block; the hub's row of 299 entries is gathered alone, over the budget of 64
     monkeypatch.setattr(properties, "BFS_BUDGET", 64)
-    assert _hop_histogram(star(300), np.arange(300)).tolist() == [0, 2 * 299, 299 * 298]
-    assert _hop_histogram(star(300), np.array([0, 7])).tolist() == [0, 299 + 1, 298]
+    assert hop_hist(star(300), np.arange(300)).tolist() == [0, 2 * 299, 299 * 298]
+    assert hop_hist(star(300), np.array([0, 7])).tolist() == [0, 299 + 1, 298]
 
 
 def test_isolated_nodes_direct(monkeypatch):
-    # isolated ids around three components; blocks of 64 sources over all 150 ids,
-    # so the buffers swap between blocks and levels with the isolated rows never written
+    # isolated ids around three components; the 66 non-isolated ids of all 150 make
+    # blocks of 64 and 2 sources, so the buffers swap between blocks and levels
     g = tree_plus_isolated(60, 10, seed=1)
     us, vs = np.split(g.edge_array(), 2, axis=1)
     us = np.concatenate([us[:, 0], [100, 101, 102, 120]])
@@ -144,7 +155,11 @@ def test_isolated_nodes_direct(monkeypatch):
     g = build_graph(us, vs, n=150)
     monkeypatch.setattr(properties, "BFS_BUDGET", 7)
     for src in (np.arange(150), np.array([60, 61, 99, 100, 149]), np.arange(0, 150, 3)):
-        assert np.array_equal(_hop_histogram(g, src), sparse_hop_oracle(g, src))
+        assert np.array_equal(hop_hist(g, src), sparse_hop_oracle(g, src))
+    # two of the components, the tree and the path 100..103, walked inside g
+    nodes = np.concatenate([np.arange(60), np.arange(100, 104)])
+    for src in (nodes, np.array([0, 59, 100]), np.array([101, 103])):
+        assert np.array_equal(_hop_histogram(g, src, nodes), sparse_hop_oracle(g, src))
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,24 +178,27 @@ def test_matches_networkx(n, edges, picks, budget):
     hops = [d for s in src.tolist() for d in nx.single_source_shortest_path_length(nxg, s).values() if d]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(properties, "BFS_BUDGET", budget)
-        got = _hop_histogram(g, src)
+        got = hop_hist(g, src)
     assert got.tolist() == np.bincount(hops, minlength=1).tolist()
 
 
 @pytest.mark.parametrize("name", ["path70", "tree65"])   # connected, and with an isolated node
-def test_lcc_rebuilt_only_when_disconnected(name, monkeypatch):
+def test_lcc_never_rebuilt(name, monkeypatch):
     g = GRAPHS[name]
     lcc = largest_connected_component(g)
     want = [path_length_stats(induced_subgraph(g, lcc), mode=m, sources=20, seed=3) for m in ("exact", "sampled")]
     calls = []
 
-    def spy(*args):
-        calls.append(args)
-        return induced_subgraph(*args)
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(properties, "induced_subgraph", spy)
+    monkeypatch.setattr(properties, "induced_subgraph", spy(induced_subgraph))
+    monkeypatch.setattr(graph, "build_graph", spy(build_graph))
     got = [path_length_stats(g, mode=m, sources=20, seed=3) for m in ("exact", "sampled")]
-    assert len(calls) == (0 if len(lcc) == g.n else 2)
+    assert calls == []
     for (mean, dist, flags), (want_mean, want_dist, want_flags) in zip(got, want):
         assert mean == want_mean
         assert np.array_equal(dist.support, want_dist.support)
