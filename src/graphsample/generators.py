@@ -17,14 +17,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, _check_int_fields, build_graph
+from .graph import Graph, _check_number_fields, build_graph
 
-__all__ = ["MODELS", "GeneratorConfig", "generate", "forest_fire", "small_world", "mixed_model",
-           "calibrate_parameter"]
+__all__ = ["MODELS", "GeneratorConfig", "generate", "forest_fire", "small_world", "mixed_model"]
 
 # Forward-burn probability that lands forest-fire graphs near average
 # degree 16.3 at n=10k (see scripts/calibrate_generators.py).
@@ -47,7 +45,7 @@ class GeneratorConfig:
     mm_beta: float = 0.5             # preferential-attachment fraction
 
     def validate(self) -> None:
-        _check_int_fields(self)
+        _check_number_fields(self)
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "ff":
@@ -221,45 +219,26 @@ def mixed_model(n: int, k: int, beta: float, rng: np.random.Generator) -> Graph:
     return build_graph(us, vs, n=n)
 
 
-def calibrate_parameter(
-    measure: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    iterations: int = 18,
-) -> float:
-    """Bisection for a parameter of a monotone-increasing measurement.
-
-    ``measure(p)`` is typically "average degree of a small generated
-    graph"; noise is tolerable because the bracket only narrows.
-    """
-    if lo >= hi:
-        raise ValueError("need lo < hi")
-    for _ in range(iterations):
-        mid = (lo + hi) / 2.0
-        if measure(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
 def calibrate_forest_fire(
     target_avg_degree: float = 16.31,
     n: int = 10000,
     seeds: tuple[int, ...] = (0, 1, 2),
     iterations: int = 14,
 ) -> float:
-    """Bisect the forward-burn probability against a target average degree."""
+    """Bisect the forward-burn probability in (0.05, 0.75) against a target average degree.
 
-    def measure(pf: float) -> float:
-        vals = []
-        for s in seeds:
-            g = forest_fire(n, pf, np.random.default_rng(s))
-            vals.append(2.0 * g.m / g.n)
-        return float(np.mean(vals))
-
-    return calibrate_parameter(measure, target_avg_degree, 0.05, 0.75, iterations)
+    The measured degree rises with the probability; noise is tolerable
+    because the bracket only narrows.
+    """
+    lo, hi = 0.05, 0.75
+    for _ in range(iterations):
+        mid = (lo + hi) / 2.0
+        graphs = (forest_fire(n, mid, np.random.default_rng(s)) for s in seeds)
+        if float(np.mean([2.0 * g.m / g.n for g in graphs])) < target_avg_degree:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 # Raw words a _Draws buffer holds at most: about 160 kB of Python ints.

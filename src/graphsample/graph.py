@@ -12,7 +12,7 @@ sample subgraph and component subgraph is built by it.
 
 from __future__ import annotations
 
-import operator
+import numbers
 from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -142,14 +142,28 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _check_int_fields(cfg) -> None:
-    """Reject a value that is not a Python or numpy int in any ``int`` field of dataclass ``cfg``."""
-    for f in (f for f in fields(cfg) if f.type == "int"):   # annotations are strings here
+def _is_real(value) -> bool:
+    """A Python or numpy real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_number_fields(cfg) -> None:
+    """Reject a wrong kind of value in any number field of dataclass ``cfg``, naming the field.
+
+    An ``int`` field takes an int and a ``float`` field, or each entry of a
+    ``tuple[float, ...]`` one, a real number; numpy scalars pass, a bool never.
+    """
+    for f in fields(cfg):   # annotations are strings here
         value = getattr(cfg, f.name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{f.name} must be an integer, not {value!r}") from None
+        if f.type == "int" and (isinstance(value, bool) or not hasattr(value, "__index__")):
+            raise ValueError(f"{f.name} must be an integer, not {value!r}")
+        if f.type == "float" or (f.type == "float | None" and value is not None):
+            if not _is_real(value):
+                raise ValueError(f"{f.name} must be a number, not {value!r}")
+        if f.type == "tuple[float, ...]":
+            for x in value:
+                if not _is_real(x):
+                    raise ValueError(f"{f.name} must hold numbers, not {x!r}")
 
 
 def build_graph(

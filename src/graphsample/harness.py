@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .generators import GeneratorConfig, generate
-from .graph import Graph, _check_int_fields, load_edge_list
+from .graph import Graph, _check_number_fields, _is_real, load_edge_list
 from .metrics import RATIO_SHIFTS, align_supports, confidence_interval_95, jsd, rmse, scaling_ratio
 from .properties import (DISTRIBUTIONS as DISTRIBUTION_KINDS, PATH_MODES, REPORT_VERSION,
                          SCALARS as PROPERTY_ORDER, Distribution, PropertyReport, property_report)
@@ -57,7 +57,6 @@ __all__ = [
     "aggregate",
     "default_method_suite",
     "derive_seed",
-    "load_dataset",
     "read_cell_distributions",
     "read_originals",
     "read_raw",
@@ -114,11 +113,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # cell seeds and CSV text use repr(phi), and repr(np.float64(0.1)) is not '0.1'
-        object.__setattr__(self, "phis", tuple(float(phi) for phi in self.phis))
+        # cell seeds and CSV text use repr(phi), and repr(np.float64(0.1)) is not '0.1';
+        # validate rejects what is not a real number, so float() must not turn True into 1.0
+        object.__setattr__(self, "phis", tuple(float(phi) if _is_real(phi) else phi for phi in self.phis))
 
     def validate(self) -> None:
-        _check_int_fields(self)
+        _check_number_fields(self)
         if not self.datasets:
             raise ValueError("no datasets configured")
         if not self.samplers:
@@ -132,6 +132,8 @@ class ExperimentConfig:
         for name in names + labels:   # each names bundle files such as dists/cells/<dataset>.<label>.json
             if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or os.sep in name:
                 raise ValueError(f"dataset name or sampler label {name!r} is not a plain file name")
+        if "original" in labels:   # its mean distributions would overwrite dists/<dataset>.original.*
+            raise ValueError("sampler label 'original' names the original graph's distribution files")
         for s in self.samplers:
             s.validate()
             owned = sorted(k for k, default in _SWEEP_DEFAULTS.items() if getattr(s, k) != default)
@@ -222,13 +224,6 @@ def derive_seed(master_seed: int, *tokens) -> int:
 def default_method_suite() -> tuple[SamplerConfig, ...]:
     """The five samplers, each under its defining edge semantics (SamplerConfig's default mode)."""
     return tuple(SamplerConfig(method=m) for m in METHODS)
-
-
-def load_dataset(spec: DatasetSpec) -> Graph:
-    spec.validate()
-    if spec.path is not None:
-        return load_edge_list(spec.path)
-    return generate(spec.generator)
 
 
 @contextlib.contextmanager
@@ -361,7 +356,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     for spec in cfg.datasets:
         try:
-            g = load_dataset(spec)
+            g = load_edge_list(spec.path) if spec.path is not None else generate(spec.generator)
         except Exception as exc:
             failures.append(f"dataset {spec.name}: {type(exc).__name__}: {exc}")
             continue
@@ -417,7 +412,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     meta = {
         "config": cfg.to_dict(),
-        "versions": _versions(),
+        "versions": {"graphsample": _pkg_version, "numpy": np.__version__},
         "datasets": dataset_meta,
         "failures": failures,
         "errors": len(errors),
@@ -431,10 +426,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     return ExperimentResult(config=cfg, rows=rows, originals=originals, tables=tables,
                             failures=failures, errors=errors, output_dir=out)
-
-
-def _versions() -> dict:
-    return {"graphsample": _pkg_version, "numpy": np.__version__}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, _check_int_fields, _sorted_unique, induced_edges, subgraph
+from .graph import Graph, _check_number_fields, _sorted_unique, induced_edges, subgraph
 
 __all__ = [
     "Sample",
@@ -76,35 +76,25 @@ class SamplerConfig:
         return self.tag or self.method
 
     def validate(self) -> None:
-        """The checks that need no graph; ``sample`` bounds fs_walkers and rd_seeds by n."""
-        _check_int_fields(self)
+        """The checks that need no graph; ``sample`` bounds rd_seeds, and FS its walkers, by the graph."""
+        _check_number_fields(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.finalize_mode not in ("induced", "collected"):
             raise ValueError(f"unknown finalize mode {self.finalize_mode!r}")
-        if self.method == "fs":
-            if self.fs_walkers < 1:
-                raise ValueError("fs_walkers must be >= 1")
-            if self.fs_stall_limit < 1:
-                raise ValueError("fs_stall_limit must be >= 1")
+        for f in dataclasses.fields(self):   # the method's own int fields are all counts
+            if f.type == "int" and f.name.startswith(f"{self.method}_") and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
         if self.method == "xs" and self.xs_seed_rule not in ("uniform", "max_degree"):
             raise ValueError(f"unknown xs_seed_rule {self.xs_seed_rule!r}")
         if self.method == "ls" and self.ls_rule not in ("uniform", "max_degree"):
             raise ValueError(f"unknown ls_rule {self.ls_rule!r}")
         if self.method == "rd":
-            if self.rd_seeds < 1:
-                raise ValueError("rd_seeds must be in [1, n]")
             if not 0.0 < self.rd_rho <= 1.0:
                 raise ValueError("rd_rho must be in (0, 1]")
         if self.method == "hj":
             if self.hj_alpha is not None and not 0.0 <= self.hj_alpha <= 1.0:
                 raise ValueError("hj_alpha must be in [0, 1]")
-            if self.hj_probes < 1:
-                raise ValueError("hj_probes must be >= 1")
-            if self.hj_bfs_depth < 1:
-                raise ValueError("hj_bfs_depth must be >= 1")
-            if self.hj_stall_limit < 1:
-                raise ValueError("hj_stall_limit must be >= 1")
 
 
 @dataclass
@@ -150,10 +140,10 @@ class Sample:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def sidecar(self, cfg: SamplerConfig | None = None) -> dict:
+    def sidecar(self, cfg: SamplerConfig) -> dict:
         """JSON-ready summary written next to a sample's edge list."""
         t = self.telemetry
-        out = {
+        return {
             "method": self.method,
             "phi": self.phi,
             "seed": self.seed,
@@ -168,10 +158,8 @@ class Sample:
                 "trims": t.trims,
                 "params": t.params,
             },
+            "config": dataclasses.asdict(cfg),
         }
-        if cfg is not None:
-            out["config"] = dataclasses.asdict(cfg)
-        return out
 
 
 def node_budget(phi: float, n: int) -> int:
@@ -198,8 +186,6 @@ class _Run:
 
     def __init__(self, g: Graph, cfg: SamplerConfig):
         cfg.validate()
-        if cfg.method == "fs" and cfg.fs_walkers > g.n:
-            raise ValueError("fs_walkers cannot exceed the node count")
         if cfg.method == "rd" and cfg.rd_seeds > g.n:
             raise ValueError("rd_seeds must be in [1, n]")
         self.g = g

@@ -166,6 +166,19 @@ def test_bad_option_values_are_usage_errors(sw_file, tmp_path, capsys):
                                     "samplers": [{"method": "ls"}], "bogus_knob": 1}))
     assert (usage_error(["bench", "run", "--config", str(cfg_path)], capsys)
             == "graphsample: error: unknown experiment config keys: ['bogus_knob']")
+    # a config number of the wrong kind is reported the same way, before any work runs
+    sw_spec = {"name": "x", "path": str(sw_file)}
+    gen_spec = {"name": "g", "generator": {"model": "sw", "nodes": 100, "sw_p": "0.1"}}
+    for dataset, sampler, extra, message in (
+            (sw_spec, {"method": "rd", "rd_rho": "0.5"}, {}, "rd_rho must be a number, not '0.5'"),
+            (sw_spec, {"method": "ls"}, {"repetitions": True}, "repetitions must be an integer, not True"),
+            (sw_spec, {"method": "ls"}, {"phis": [True]}, "phis must hold numbers, not True"),
+            (gen_spec, {"method": "ls"}, {}, "sw_p must be a number, not '0.1'")):
+        cfg_path.write_text(json.dumps({"datasets": [dataset], "samplers": [sampler],
+                                        "output_dir": str(tmp_path / "o"), **extra}))
+        assert (usage_error(["bench", "run", "--config", str(cfg_path)], capsys)
+                == f"graphsample: error: {message}")
+    assert not (tmp_path / "o").exists()
 
 
 def test_unreadable_files_are_usage_errors(tmp_path, capsys):

@@ -11,7 +11,6 @@ from graphsample.generators import (
     GeneratorConfig,
     _Draws,
     calibrate_forest_fire,
-    calibrate_parameter,
     forest_fire,
     generate,
     mixed_model,
@@ -99,11 +98,6 @@ class TestForestFire:
             g = forest_fire(10000, FF_DEFAULT_PF, np.random.default_rng(seed))
             vals.append(2.0 * g.m / g.n)
         assert abs(np.mean(vals) - 16.31) <= 1.631
-
-    def test_bisection_recovers_parameter(self):
-        # calibrate against a cheap synthetic monotone curve
-        got = calibrate_parameter(lambda p: p * p, target=0.25, lo=0.0, hi=1.0, iterations=30)
-        assert got == pytest.approx(0.5, abs=1e-6)
 
 
 def assert_same_as_oracle(fn, oracle, args, seed, primed):

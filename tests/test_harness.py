@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -388,6 +389,35 @@ class TestAggregate:
             gap = next(rec for rec in csv.DictReader(fh) if rec["property"] == "assortativity")
         assert (gap["rmse"], gap["rmse_std"]) == ("", "")
 
+    def test_undefined_sample_values_are_left_out_with_a_warning(self, tmp_path):
+        res = run_experiment(tiny_config(tmp_path / "out"))
+        truth = res.originals["mm400"].scalars["avg_degree"]
+        value = {(r.phi, r.rep): r.value for r in res.rows if r.property == "avg_degree"}
+
+        def without(cells):
+            rows = [dataclasses.replace(r, value=None)
+                    if r.property == "avg_degree" and (r.phi, r.rep) in cells else r for r in res.rows]
+            tables = aggregate(rows, res.originals, {})
+            row = next(r for r in tables.rmse if r["property"] == "avg_degree")
+            return tables.warnings, row["rmse"], row["rmse_std"]
+
+        def rmse(values):
+            return math.sqrt(statistics.mean((v - truth) ** 2 for v in values))
+
+        # one repetition undefined at phi=0.05: that phi's mean is over the other repetition
+        warnings, got, got_std = without({(0.05, 0)})
+        assert "rmse: undefined sample values at mm400/ls/phi=0.05/avg_degree" in warnings
+        phi_means = [value[0.05, 1], statistics.mean([value[0.1, 0], value[0.1, 1]])]
+        assert got == pytest.approx(rmse(phi_means), rel=1e-12)
+        per_rep = [rmse([value[0.1, 0]]), rmse([value[0.05, 1], value[0.1, 1]])]
+        assert got_std == pytest.approx(statistics.stdev(per_rep), rel=1e-12)
+        # every repetition undefined at phi=0.05: the RMSE runs over phi=0.1 alone
+        warnings, got, got_std = without({(0.05, 0), (0.05, 1)})
+        assert "rmse: undefined sample values at mm400/ls/phi=0.05/avg_degree" in warnings
+        assert got == pytest.approx(rmse([statistics.mean([value[0.1, 0], value[0.1, 1]])]), rel=1e-12)
+        per_rep = [rmse([value[0.1, 0]]), rmse([value[0.1, 1]])]
+        assert got_std == pytest.approx(statistics.stdev(per_rep), rel=1e-12)
+
 
 class TestConfig:
     def test_json_roundtrip(self, tmp_path):
@@ -501,7 +531,9 @@ class TestConfig:
                                   ("top", "path_sources", 16.5), ("sampler", "fs_walkers", 2.5),
                                   ("sampler", "hj_probes", 10.5), ("sampler", "hj_bfs_depth", 1.5),
                                   ("sampler", "fs_stall_limit", 2.5), ("sampler", "rd_seeds", "3"),
-                                  ("generator", "nodes", 200.5), ("generator", "sw_k", 4.0)):
+                                  ("generator", "nodes", 200.5), ("generator", "sw_k", 4.0),
+                                  ("top", "repetitions", True), ("sampler", "rd_seeds", False),
+                                  ("generator", "nodes", True)):
             d = json.loads(json.dumps(good))
             target = {"top": d, "sampler": d["samplers"][0],
                       "generator": d["datasets"][0]["generator"]}[where]
@@ -521,6 +553,36 @@ class TestConfig:
             with pytest.raises(ValueError, match="plain file name"):
                 tiny_config(tmp_path / "o", datasets=(spec,)).validate()
         tiny_config(tmp_path / "o", samplers=(SamplerConfig("ls", tag="ls.v2"),)).validate()
+
+    def test_label_original_is_rejected(self, tmp_path):
+        # its mean distributions would overwrite dists/mm400.original.<kind>.dist.csv
+        cfg = tiny_config(tmp_path / "o", samplers=(SamplerConfig("ls", tag="original"),))
+        with pytest.raises(ValueError, match="sampler label 'original'"):
+            cfg.validate()
+        tiny_config(tmp_path / "o", samplers=(SamplerConfig("ls", tag="originals"),)).validate()
+
+    def test_float_fields_take_real_numbers_only(self, tmp_path):
+        good = {"output_dir": str(tmp_path / "o"),
+                "datasets": [{"name": "sw", "generator": {"model": "sw", "nodes": 200}}],
+                "samplers": [{"method": "rd"}, {"method": "hj"}]}
+        for where, key, value, message in (
+                ("top", "phis", [0.1, True], "phis must hold numbers, not True"),
+                ("top", "phis", ["0.1"], "phis must hold numbers, not '0.1'"),
+                ("rd", "rd_rho", "0.5", "rd_rho must be a number, not '0.5'"),
+                ("hj", "hj_alpha", True, "hj_alpha must be a number, not True"),
+                ("generator", "sw_p", "0.1", "sw_p must be a number, not '0.1'")):
+            d = json.loads(json.dumps(good))
+            target = {"top": d, "rd": d["samplers"][0], "hj": d["samplers"][1],
+                      "generator": d["datasets"][0]["generator"]}[where]
+            target[key] = value
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig.from_dict(d).validate()
+        # numpy scalars are numbers, and None is the default of hj_alpha
+        sw = DatasetSpec(name="sw", generator=GeneratorConfig(model="sw", nodes=200, sw_p=np.float32(0.1)))
+        cfg = tiny_config(tmp_path / "o", datasets=(sw,), phis=(np.float64(0.1), np.int64(1)),
+                          samplers=(SamplerConfig("rd", rd_rho=np.float64(0.5)), SamplerConfig("hj")))
+        cfg.validate()
+        assert cfg.phis == (0.1, 1.0) and all(type(phi) is float for phi in cfg.phis)
 
     def test_dataset_spec_needs_exactly_one_source(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -204,6 +205,12 @@ class TestDistributionType:
             Distribution(support=np.array([2, 1]), pmf=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             Distribution(support=np.array([1]), pmf=np.array([-1.0]))
+        # jsd relies on a pmf that sums to 1, so a built one cannot be changed in place
+        d = Distribution(support=np.array([1, 2]), pmf=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="read-only"):
+            d.pmf[0] = 0.9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.pmf = np.array([0.9, 0.1])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 12), min_size=1, max_size=60))

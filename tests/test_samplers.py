@@ -456,6 +456,8 @@ class TestUniversalContracts:
         dict(method="rd", rd_seeds="3"),
         dict(method="hj", hj_probes=10.5),
         dict(method="hj", hj_bfs_depth=1.5),
+        dict(method="fs", fs_walkers=True),      # a bool is not a count, nor a fraction
+        dict(method="rd", rd_rho="0.5"),
     ])
     def test_config_validation(self, kwargs):
         g = random_graph(30, 0.2, seed=1)
