@@ -156,14 +156,8 @@ def _aggregate(
     new_loops = (np.bincount(dense, weights=loops, minlength=k)
                  + np.bincount(cu[once], weights=weights[once], minlength=k))
     cross = cu != cv
-    key = cu[cross] * k + cv[cross]
-    order = np.argsort(key)
-    key, w = key[order], weights[cross][order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(first)
-    new_w = np.add.reduceat(w, starts)
-    key = key[starts]
+    key, at = np.unique(cu[cross] * k + cv[cross], return_inverse=True)
+    new_w = np.bincount(at, weights=weights[cross], minlength=len(key))
     new_indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(key // k, minlength=k), out=new_indptr[1:])
     return new_indptr, key % k, new_w, new_loops

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _check_number_fields, build_graph
+from .graph import Graph, _check_field_types, build_graph
 
 __all__ = ["MODELS", "GeneratorConfig", "generate", "forest_fire", "small_world", "mixed_model"]
 
@@ -45,7 +45,7 @@ class GeneratorConfig:
     mm_beta: float = 0.5             # preferential-attachment fraction
 
     def validate(self) -> None:
-        _check_number_fields(self)
+        _check_field_types(self)
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "ff":

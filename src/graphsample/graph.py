@@ -147,20 +147,28 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_number_fields(cfg) -> None:
-    """Reject a wrong kind of value in any number field of dataclass ``cfg``, naming the field.
+def _check_field_types(cfg) -> None:
+    """Reject a wrong kind of value in any field of dataclass ``cfg``, naming the field.
 
-    An ``int`` field takes an int and a ``float`` field, or each entry of a
-    ``tuple[float, ...]`` one, a real number; numpy scalars pass, a bool never.
+    An ``int`` field takes an int, a ``float`` field a real number and a
+    ``str`` field a string; numpy scalars pass, a bool is no number. The
+    ``| None`` forms also take None. A ``tuple[...]`` field takes a list or
+    a tuple, whose entries must be real numbers for ``tuple[float, ...]``.
     """
     for f in fields(cfg):   # annotations are strings here
         value = getattr(cfg, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not hasattr(value, "__index__")):
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        if kind == "int" and (isinstance(value, bool) or not hasattr(value, "__index__")):
             raise ValueError(f"{f.name} must be an integer, not {value!r}")
-        if f.type == "float" or (f.type == "float | None" and value is not None):
-            if not _is_real(value):
-                raise ValueError(f"{f.name} must be a number, not {value!r}")
-        if f.type == "tuple[float, ...]":
+        if kind == "float" and not _is_real(value):
+            raise ValueError(f"{f.name} must be a number, not {value!r}")
+        if kind == "str" and not isinstance(value, str):
+            raise ValueError(f"{f.name} must be a string, not {value!r}")
+        if kind.startswith("tuple[") and not isinstance(value, (list, tuple)):
+            raise ValueError(f"{f.name} must be a list, not {value!r}")
+        if kind == "tuple[float, ...]":
             for x in value:
                 if not _is_real(x):
                     raise ValueError(f"{f.name} must hold numbers, not {x!r}")

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .generators import GeneratorConfig, generate
-from .graph import Graph, _check_number_fields, _is_real, load_edge_list
+from .graph import Graph, _check_field_types, _is_real, load_edge_list
 from .metrics import RATIO_SHIFTS, align_supports, confidence_interval_95, jsd, rmse, scaling_ratio
 from .properties import (DISTRIBUTIONS as DISTRIBUTION_KINDS, PATH_MODES, REPORT_VERSION,
                          SCALARS as PROPERTY_ORDER, Distribution, PropertyReport, property_report)
@@ -75,6 +75,7 @@ class DatasetSpec:
     category: str = ""
 
     def validate(self) -> None:
+        _check_field_types(self)
         if (self.path is None) == (self.generator is None):
             raise ValueError(f"dataset {self.name!r}: set exactly one of path/generator")
         if self.generator is not None:
@@ -82,17 +83,23 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
-        gen = d.get("generator")
-        gen = None if gen is None else _from_dict(GeneratorConfig, gen, "generator")
-        return _from_dict(cls, d, "dataset", generator=gen)
+        spec = _from_dict(cls, d, "dataset")
+        gen = spec.generator
+        return spec if gen is None else dataclasses.replace(
+            spec, generator=_from_dict(GeneratorConfig, gen, "generator"))
 
 
 def _from_dict(cls, d: dict, what: str, **parsed):
-    """Build dataclass ``cls`` from JSON dict ``d``; ``parsed`` holds fields already converted."""
+    """Build dataclass ``cls`` from JSON object ``d``; ``parsed`` holds fields already converted."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} config must be a JSON object, not {d!r}")
     unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} config keys: {sorted(unknown)}")
-    return cls(**{**d, **parsed})
+    try:
+        return cls(**{**d, **parsed})
+    except TypeError as exc:   # a required key is missing
+        raise ValueError(f"{what} config: {exc}") from None
 
 
 # sampler fields that each cell sets, and the defaults a config leaves them at
@@ -114,26 +121,30 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # cell seeds and CSV text use repr(phi), and repr(np.float64(0.1)) is not '0.1';
-        # validate rejects what is not a real number, so float() must not turn True into 1.0
-        object.__setattr__(self, "phis", tuple(float(phi) if _is_real(phi) else phi for phi in self.phis))
+        # validate rejects what is not a list of real numbers, so float() must not turn True into 1.0
+        if isinstance(self.phis, (list, tuple)):
+            object.__setattr__(self, "phis", tuple(float(phi) if _is_real(phi) else phi for phi in self.phis))
 
     def validate(self) -> None:
-        _check_number_fields(self)
+        _check_field_types(self)
         if not self.datasets:
             raise ValueError("no datasets configured")
         if not self.samplers:
             raise ValueError("no samplers configured")
         names = [d.name for d in self.datasets]
-        if len(set(names)) != len(names):
-            raise ValueError("dataset names must be unique")
         labels = [s.label for s in self.samplers]
-        if len(set(labels)) != len(labels):
-            raise ValueError("sampler labels must be unique (set tag to disambiguate)")
         for name in names + labels:   # each names bundle files such as dists/cells/<dataset>.<label>.json
             if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or os.sep in name:
                 raise ValueError(f"dataset name or sampler label {name!r} is not a plain file name")
-        if "original" in labels:   # its mean distributions would overwrite dists/<dataset>.original.*
-            raise ValueError("sampler label 'original' names the original graph's distribution files")
+        writers: dict[str, str] = {}   # bundle file stem -> the one pair that writes it
+        for ds in names:
+            for label in (None, *labels):   # None: the dataset's own files, dists/<dataset>.original.*
+                stem = f"{ds}.{label or 'original'}"
+                pair = f"dataset {ds!r}" + (f" with sampler label {label!r}" if label else "")
+                if stem in writers:
+                    raise ValueError(f"{writers[stem]} and {pair} would both write the bundle files "
+                                     f"{stem}.*; rename a dataset or set a sampler tag")
+                writers[stem] = pair
         for s in self.samplers:
             s.validate()
             owned = sorted(k for k, default in _SWEEP_DEFAULTS.items() if getattr(s, k) != default)
@@ -148,14 +159,11 @@ class ExperimentConfig:
                 raise ValueError("phis must lie in (0, 1]")
         if len(set(self.phis)) != len(self.phis):
             raise ValueError("phis must be unique")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        for count in ("repetitions", "path_sources", "workers"):
+            if getattr(self, count) < 1:
+                raise ValueError(f"{count} must be >= 1")
         if self.path_mode not in PATH_MODES:
             raise ValueError(f"path_mode must be one of {PATH_MODES}")
-        if self.path_sources < 1:
-            raise ValueError("path_sources must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -164,13 +172,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        samplers = d.get("samplers", ())
-        owned = sorted({k for x in samplers for k in x} & _SWEEP_DEFAULTS.keys())
+        if not isinstance(d, dict):
+            raise ValueError(f"experiment config must be a JSON object, not a {type(d).__name__}")
+        datasets, samplers = d.get("datasets", ()), d.get("samplers", ())
+        for key, value in (("datasets", datasets), ("samplers", samplers)):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be a list of JSON objects, not {value!r}")
+        owned = sorted({k for x in samplers if isinstance(x, dict) for k in x} & _SWEEP_DEFAULTS.keys())
         if owned:
             raise ValueError(f"sampler config keys {owned} are set by the sweep, not the config")
         return _from_dict(
             cls, d, "experiment",
-            datasets=tuple(DatasetSpec.from_dict(x) for x in d.get("datasets", ())),
+            datasets=tuple(DatasetSpec.from_dict(x) for x in datasets),
             samplers=tuple(_from_dict(SamplerConfig, x, "sampler") for x in samplers),
         )
 
@@ -512,7 +525,7 @@ def aggregate(rows: Iterable[ReportRow], originals: dict[str, PropertyReport],
                             per_rep.setdefault(r, []).append(v)
                 if phi_means:
                     row["rmse"] = rmse(phi_means, t)
-                    rep_rmses = [rmse(vs, t) for vs in per_rep.values() if vs]
+                    rep_rmses = [rmse(vs, t) for vs in per_rep.values()]
                     row["rmse_std"] = float(np.std(rep_rmses, ddof=1)) if len(rep_rmses) > 1 else 0.0
 
             by_rep = cell_dists.get((ds, method), {})

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, _check_number_fields, _sorted_unique, induced_edges, subgraph
+from .graph import Graph, _check_field_types, _sorted_unique, induced_edges, subgraph
 
 __all__ = [
     "Sample",
@@ -77,7 +77,7 @@ class SamplerConfig:
 
     def validate(self) -> None:
         """The checks that need no graph; ``sample`` bounds rd_seeds, and FS its walkers, by the graph."""
-        _check_number_fields(self)
+        _check_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.finalize_mode not in ("induced", "collected"):
@@ -333,7 +333,7 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
         wdeg[i] = float(degs[w])
         run.tel.steps += 1
         stall = 0 if new else stall + 1
-        if stall >= cfg.fs_stall_limit and not run.full():
+        if stall >= cfg.fs_stall_limit:
             u = run.uniform_unsampled(positive_degree=True)
             if degs[u] == 0:   # only isolated nodes are left: sample one, and stay stalled
                 run.start(u)
@@ -462,6 +462,10 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     the smaller id). The method's defining induction step, which sets the
     edge set to all g-edges among sampled nodes, is its default
     ``induced`` finalize mode; ``collected`` keeps the traversal edges.
+
+    A popped candidate is never sampled yet: a node is queued at most once
+    and leaves the list only by a pop, which samples it, and a restart,
+    the only other sample after the start node, needs an empty list.
     """
     run = _Run(g, cfg)
 
@@ -482,19 +486,12 @@ def list_sample(g: Graph, cfg: SamplerConfig) -> Sample:
 
     def pop_candidate() -> int:
         if by_degree:
-            while heap:
-                _, cand = heapq.heappop(heap)
-                if not run.sampled[cand]:
-                    return cand
+            return heapq.heappop(heap)[1] if heap else -1
+        if not pool:
             return -1
-        while pool:
-            i = int(run.rng.integers(len(pool)))
-            cand = pool[i]
-            pool[i] = pool[-1]
-            pool.pop()
-            if not run.sampled[cand]:
-                return cand
-        return -1
+        i = int(run.rng.integers(len(pool)))
+        pool[i], pool[-1] = pool[-1], pool[i]
+        return pool.pop()
 
     v0 = run.uniform_unsampled()
     run.start(v0)
@@ -569,15 +566,15 @@ def hybrid_jump_sample(g: Graph, cfg: SamplerConfig) -> Sample:
             v = w
         run.tel.steps += 1
         if not run.full() and rng.random() < alpha:
+            # never empty: v has a neighbour (the loop head leaves isolated nodes, a move follows an edge)
             cand = _jump_candidates(g, v, cfg.hj_bfs_depth)
-            if len(cand):
-                t = int(cand[rng.integers(len(cand))])
-                run.tel.jumps += 1
-                run.log("jump", v, t)
-                new |= run.visit(t)
-                v = t
+            t = int(cand[rng.integers(len(cand))])
+            run.tel.jumps += 1
+            run.log("jump", v, t)
+            new |= run.visit(t)
+            v = t
         stall = 0 if new else stall + 1
-        if stall >= cfg.hj_stall_limit and not run.full():
+        if stall >= cfg.hj_stall_limit:
             v = run.restart()
             stall = 0
     return run.finish()

@@ -1,14 +1,15 @@
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
 
-from graphsample import harness
+from graphsample import cli, harness
 from graphsample.cli import main
 from graphsample.generators import MODELS, GeneratorConfig, generate
 from graphsample.graph import dump_edge_list, load_edge_list
-from graphsample.properties import property_report
+from graphsample.properties import DISTRIBUTIONS, property_report
 from graphsample.samplers import METHODS, SamplerConfig, sample
 
 # a valid non-default value for every method- or model-prefixed config field
@@ -135,6 +136,13 @@ def test_properties_report(sw_file, tmp_path):
         "sw.clustering.dist.csv", "sw.degree.dist.csv", "sw.path_length.dist.csv"]
 
 
+def test_properties_print_the_report_without_json(sw_file, capsys):
+    assert main(["properties", "--input", str(sw_file), "--path-mode", "exact"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["graph"] == {"n": 120, "m": 960}
+    assert payload["flags"]["path_mode"] == "exact"
+
+
 def test_properties_take_the_sweep_path_settings(sw_file, tmp_path):
     """``--path-mode`` and ``--path-sources`` mean what a bench config's path_mode and
     path_sources mean: an LCC of 120 nodes gets exact paths in auto mode, whatever the sources."""
@@ -157,7 +165,7 @@ def test_properties_rejects_zero_path_sources(sw_file, capsys):
             == "graphsample: error: path sources must be >= 1, not 0")
 
 
-def test_bad_option_values_are_usage_errors(sw_file, tmp_path, capsys):
+def test_bad_option_values_are_usage_errors(sw_file, tmp_path, capsys, monkeypatch):
     assert (usage_error(["sample", "--input", str(sw_file), "--method", "rd", "--phi", "0.1",
                          "--rd-rho", "0", "--out", str(tmp_path / "s.txt")], capsys)
             == "graphsample: error: rd_rho must be in (0, 1]")
@@ -178,7 +186,20 @@ def test_bad_option_values_are_usage_errors(sw_file, tmp_path, capsys):
                                         "output_dir": str(tmp_path / "o"), **extra}))
         assert (usage_error(["bench", "run", "--config", str(cfg_path)], capsys)
                 == f"graphsample: error: {message}")
-    assert not (tmp_path / "o").exists()
+    # so is a config of the wrong shape
+    monkeypatch.chdir(tmp_path)   # where an output_dir of 5 would land
+    good = {"datasets": [sw_spec], "samplers": [{"method": "ls"}], "output_dir": str(tmp_path / "o")}
+    for cfg, message in (
+            ({**good, "phis": 0.1}, "phis must be a list, not 0.1"),
+            ({**good, "output_dir": 5}, "output_dir must be a string, not 5"),
+            ({**good, "datasets": [5]}, "dataset config must be a JSON object, not 5"),
+            ({**good, "datasets": [{"path": "x.txt"}]},
+             "dataset config: DatasetSpec.__init__() missing 1 required positional argument: 'name'"),
+            ([good], "experiment config must be a JSON object, not a list")):
+        cfg_path.write_text(json.dumps(cfg))
+        assert (usage_error(["bench", "run", "--config", str(cfg_path)], capsys)
+                == f"graphsample: error: {message}")
+    assert not (tmp_path / "o").exists() and not (tmp_path / "5").exists()
 
 
 def test_unreadable_files_are_usage_errors(tmp_path, capsys):
@@ -214,6 +235,40 @@ def test_bench_run_and_aggregate(tmp_path):
     assert main(["bench", "aggregate", "--raw", str(out / "raw.csv"),
                  "--out-dir", str(agg_dir)]) == 0
     assert (agg_dir / "summary.csv").read_bytes() == before
+
+
+def test_bench_run_workers_flag_overrides_the_config(tmp_path, monkeypatch):
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return types.SimpleNamespace(output_dir=cfg.output_dir, rows=[], errors=[], failures=[])
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"datasets": [{"name": "mm", "generator": {"model": "mm", "nodes": 200}}],
+                                    "samplers": [{"method": "ls"}], "workers": 1}))
+    assert main(["bench", "run", "--config", str(cfg_path)]) == 0
+    assert main(["bench", "run", "--config", str(cfg_path), "--workers", "3"]) == 0
+    assert [cfg.workers for cfg in seen] == [1, 3]
+    assert seen[1] == dataclasses.replace(seen[0], workers=3)
+
+
+def test_bench_aggregate_prints_its_warnings_to_stderr(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "output_dir": str(out), "phis": [0.1], "repetitions": 2,
+        "datasets": [{"name": "mm", "generator": {"model": "mm", "nodes": 200, "seed": 1}}],
+        "samplers": [{"method": "ls"}]}))
+    assert main(["bench", "run", "--config", str(cfg_path)]) == 0
+    (out / "dists" / "cells" / "mm.ls.json").unlink()   # no per-repetition distributions: JSD gaps
+    capsys.readouterr()
+    assert main(["bench", "aggregate", "--raw", str(out / "raw.csv"),
+                 "--out-dir", str(tmp_path / "reagg")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote tables to {tmp_path / 'reagg'}\n"
+    assert captured.err.splitlines() == [f"warning: jsd gap: mm/ls/{kind}" for kind in DISTRIBUTIONS]
 
 
 def test_failed_sampler_gets_the_same_summary_from_run_and_aggregate(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from graphsample import community
 from graphsample.community import detect_communities, modularity
 from graphsample.generators import GeneratorConfig, generate
 from graphsample.graph import build_graph
@@ -109,6 +110,14 @@ class TestDetectCommunities:
             g = random_graph(60, 0.08, seed=seed)
             labels = detect_communities(g, seed=seed)
             assert modularity(g, labels) >= 0.0
+
+    def test_negative_modularity_falls_back_to_one_community(self, monkeypatch):
+        # singletons with no move: Q = -sum (d_v / 2m)^2 < 0, so the single community wins
+        monkeypatch.setattr(community, "_one_level",
+                            lambda indptr, indices, weights, loops, m2, rng: (np.arange(len(loops)), False))
+        g = two_triangles()
+        assert modularity(g, np.arange(g.n)) < 0.0
+        assert detect_communities(g, seed=0).tolist() == [0] * g.n
 
     def test_needs_edges(self):
         with pytest.raises(ValueError):

@@ -346,6 +346,15 @@ class TestAggregate:
         assert tables.jsd == res.tables.jsd
         assert all(r["jsd_mean"] is not None for r in tables.jsd)
 
+    def test_pairs_without_a_cells_file_are_skipped(self, tmp_path):
+        res = run_experiment(tiny_config(tmp_path / "out", samplers=(
+            SamplerConfig(method="ls"), SamplerConfig(method="rd"))))
+        cells = res.output_dir / "dists" / "cells"
+        (cells / "mm400.rd.json").unlink()
+        dists = read_cell_distributions(cells, read_raw(res.output_dir / "raw.csv"))
+        assert list(dists) == [("mm400", "ls")]
+        assert sorted(dists[("mm400", "ls")]) == [0, 1]
+
     def test_missing_cells_leave_gaps(self, tmp_path):
         res = run_experiment(tiny_config(tmp_path / "out"))
         dists = read_cell_distributions(res.output_dir / "dists" / "cells", res.rows)
@@ -560,6 +569,35 @@ class TestConfig:
         with pytest.raises(ValueError, match="sampler label 'original'"):
             cfg.validate()
         tiny_config(tmp_path / "o", samplers=(SamplerConfig("ls", tag="originals"),)).validate()
+
+    def test_bundle_file_stems_are_distinct(self, tmp_path):
+        # dists/cells/<dataset>.<label>.json would be written twice, one pair's distributions lost
+        mm_ls = dataclasses.replace(MM400, name="mm400.ls")
+        cfg = tiny_config(tmp_path / "o", datasets=(MM400, mm_ls), samplers=(
+            SamplerConfig("ls", tag="ls.v2"), SamplerConfig("rd", tag="v2")))
+        with pytest.raises(ValueError, match=r"'mm400' with sampler label 'ls.v2' and dataset "
+                                             r"'mm400.ls' with sampler label 'v2' would both write"):
+            cfg.validate()
+
+    def test_original_files_count_as_a_bundle_file_stem(self, tmp_path):
+        # a dataset's original graph writes dists/<dataset>.original.*, in either dataset order
+        a_x = dataclasses.replace(MM400, name="a.x")
+        a = dataclasses.replace(MM400, name="a")
+        for datasets in ((a_x, a), (a, a_x)):
+            cfg = tiny_config(tmp_path / "o", datasets=datasets,
+                              samplers=(SamplerConfig("ls", tag="x.original"),))
+            with pytest.raises(ValueError, match=r"bundle files a\.x\.original\.\*"):
+                cfg.validate()
+        tiny_config(tmp_path / "o", datasets=(a_x, a), samplers=(SamplerConfig("ls", tag="x.v2"),)).validate()
+
+    def test_string_fields_take_strings_only(self, tmp_path):
+        # a Path output_dir ran the whole sweep, then could not be written to meta.json
+        with pytest.raises(ValueError, match="output_dir must be a string, not "):
+            tiny_config(tmp_path / "o", output_dir=tmp_path / "o").validate()
+        spec = dataclasses.replace(MM400, category=None)
+        with pytest.raises(ValueError, match="category must be a string, not None"):
+            tiny_config(tmp_path / "o", datasets=(spec,)).validate()
+        tiny_config(tmp_path / "o", samplers=(SamplerConfig("ls", tag=None),)).validate()
 
     def test_float_fields_take_real_numbers_only(self, tmp_path):
         good = {"output_dir": str(tmp_path / "o"),
