@@ -15,7 +15,6 @@ these algorithms.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,29 +95,23 @@ def forest_fire(n: int, pf: float, rng: np.random.Generator) -> Graph:
     for v in range(1, n):
         w = below(v)
         visited = {w}
-        queue = deque([w])
         burned = [w]
-        while queue:
-            x = queue.popleft()
+        for x in burned:   # burned only grows at its end, so it is the fire's FIFO queue
             count = burn(1.0 - pf)   # geometric, shifted to {0, 1, ...}
             if count <= 0:
                 continue
             fresh = [y for y in adj[x] if y not in visited]
-            if not fresh:
-                continue
             if count < len(fresh):
                 chosen = [fresh[i] for i in sample_sorted(len(fresh), count)]
             else:
                 chosen = fresh
-            for y in chosen:
-                visited.add(y)
-                queue.append(y)
-                burned.append(y)
+            visited.update(chosen)
+            burned += chosen
         for x in burned:
             us.append(v)
             vs.append(x)
-            adj[v].append(x)
             adj[x].append(v)
+        adj[v] += burned
     draws.finish()
     return build_graph(us, vs, n=n)
 
@@ -182,41 +175,32 @@ def mixed_model(n: int, k: int, beta: float, rng: np.random.Generator) -> Graph:
     uniform over existing nodes otherwise. Failed draws are retried a
     bounded number of times, so the edge count can fall slightly short
     of k per node.
+
+    ``pool`` is the edge list: both endpoints of each edge, in order. A
+    uniform entry of it is a degree-proportional draw.
     """
     draws = _Draws(rng)
     double, below = draws.double, draws.below
     n0 = k + 1
-    us: list[int] = []
-    vs: list[int] = []
-    pool: list[int] = []   # one entry per edge endpoint: degree-proportional draws
+    pool: list[int] = []
     for a in range(n0):
         for b in range(a + 1, n0):
-            us.append(a)
-            vs.append(b)
-            pool.append(a)
-            pool.append(b)
+            pool += (a, b)
     for v in range(n0, n):
         targets: list[int] = []
-        seen = {v}
         attempts = 0
-        want = min(k, v)
-        while len(targets) < want and attempts < 20 * k:
+        while len(targets) < k and attempts < 20 * k:
             attempts += 1
             if double() < beta:
                 cand = pool[below(len(pool))]
             else:
                 cand = below(v)
-            if cand in seen:
-                continue
-            seen.add(cand)
-            targets.append(cand)
+            if cand not in targets:   # never v: below(v) < v, and pool holds older nodes only
+                targets.append(cand)
         for t in targets:
-            us.append(v)
-            vs.append(t)
-            pool.append(v)
-            pool.append(t)
+            pool += (v, t)
     draws.finish()
-    return build_graph(us, vs, n=n)
+    return build_graph(pool[0::2], pool[1::2], n=n)
 
 
 def calibrate_forest_fire(

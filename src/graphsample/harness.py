@@ -36,7 +36,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,7 +45,8 @@ from .generators import GeneratorConfig, generate
 from .graph import Graph, _check_field_types, _is_real, load_edge_list
 from .metrics import RATIO_SHIFTS, align_supports, confidence_interval_95, jsd, rmse, scaling_ratio
 from .properties import (DISTRIBUTIONS as DISTRIBUTION_KINDS, PATH_MODES, REPORT_VERSION,
-                         SCALARS as PROPERTY_ORDER, Distribution, PropertyReport, property_report)
+                         SCALARS as PROPERTY_ORDER, Distribution, PropertyReport, _json_fields,
+                         property_report)
 from .samplers import METHODS, SamplerConfig, sample, sample_subgraph
 
 __all__ = [
@@ -571,7 +572,13 @@ def _fmt(x: Any) -> str:
 def read_raw(path: str | Path) -> list[ReportRow]:
     rows: list[ReportRow] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [f.name for f in dataclasses.fields(ReportRow) if f.name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: no {', '.join(missing)} column")
+        for rec in reader:
+            if None in rec or None in rec.values():   # DictReader's filler for a long or short row
+                raise ValueError(f"{path}, line {reader.line_num}: not {len(reader.fieldnames)} fields")
             rows.append(ReportRow(
                 dataset=rec["dataset"],
                 method=rec["method"],
@@ -654,18 +661,30 @@ def read_cell_distributions(cell_dir: str | Path, rows: Iterable[ReportRow]) -> 
         path = cell_dir / f"{ds}.{method}.json"
         if not path.is_file():
             continue
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        out[(ds, method)] = {
-            int(rep): {kind: Distribution.from_dict(d) for kind, d in kinds.items()}
-            for rep, kinds in payload.items()
-        }
+        out[(ds, method)] = _read_json(path, _cell_distributions)
+    return out
+
+
+def _cell_distributions(payload: Any) -> dict[int, dict[str, Distribution]]:
+    """One dists/cells file: repetition -> distribution kind -> distribution."""
+    if not isinstance(payload, dict):
+        raise ValueError("cells file is not a JSON object")
+    out = {}
+    for rep, kinds in payload.items():
+        dists = _json_fields(kinds, DISTRIBUTION_KINDS, f"repetition {rep}")
+        out[int(rep)] = {kind: Distribution.from_dict(d) for kind, d in zip(DISTRIBUTION_KINDS, dists)}
     return out
 
 
 def read_originals(orig_dir: str | Path) -> dict[str, PropertyReport]:
-    out: dict[str, PropertyReport] = {}
-    for path in sorted(Path(orig_dir).glob("*.json")):
-        with open(path, "r", encoding="utf-8") as fh:
-            out[path.stem] = PropertyReport.from_dict(json.load(fh))
-    return out
+    return {path.stem: _read_json(path, PropertyReport.from_dict)
+            for path in sorted(Path(orig_dir).glob("*.json"))}
+
+
+def _read_json(path: Path, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the JSON in ``path``; a malformed file is a ValueError that names it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except ValueError as exc:   # JSONDecodeError too
+            raise ValueError(f"{path}: {exc}") from None

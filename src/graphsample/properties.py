@@ -100,7 +100,18 @@ class Distribution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Distribution":
-        return cls(support=np.asarray(d["support"]), pmf=np.asarray(d["pmf"], dtype=np.float64))
+        support, pmf = _json_fields(d, ("support", "pmf"), "distribution")
+        return cls(support=np.asarray(support), pmf=np.asarray(pmf, dtype=np.float64))
+
+
+def _json_fields(d: Any, keys: tuple[str, ...], what: str) -> list:
+    """The values of ``keys`` in the JSON object ``d``; a ValueError names what is missing."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"{what} has no {', '.join(missing)}")
+    return [d[k] for k in keys]
 
 
 @dataclass(frozen=True)
@@ -124,7 +135,7 @@ class PropertyReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PropertyReport":
-        s, dists = d["scalars"], d["distributions"]
+        s, dists = _json_fields(d, ("scalars", "distributions"), "report")
         if set(s) != set(SCALARS) or set(dists) != set(DISTRIBUTIONS):
             raise ValueError(f"report keys {sorted(s)} and {sorted(dists)} are not "
                              f"{list(SCALARS)} and {list(DISTRIBUTIONS)}")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 import types
 
 import numpy as np
@@ -192,6 +193,7 @@ def test_bad_option_values_are_usage_errors(sw_file, tmp_path, capsys, monkeypat
     for cfg, message in (
             ({**good, "phis": 0.1}, "phis must be a list, not 0.1"),
             ({**good, "output_dir": 5}, "output_dir must be a string, not 5"),
+            ({**good, "datasets": 5}, "datasets must be a list of JSON objects, not 5"),
             ({**good, "datasets": [5]}, "dataset config must be a JSON object, not 5"),
             ({**good, "datasets": [{"path": "x.txt"}]},
              "dataset config: DatasetSpec.__init__() missing 1 required positional argument: 'name'"),
@@ -269,6 +271,57 @@ def test_bench_aggregate_prints_its_warnings_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == f"wrote tables to {tmp_path / 'reagg'}\n"
     assert captured.err.splitlines() == [f"warning: jsd gap: mm/ls/{kind}" for kind in DISTRIBUTIONS]
+
+
+@pytest.fixture(scope="module")
+def mm_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle") / "out"
+    cfg_path = out.parent / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "output_dir": str(out), "phis": [0.1], "repetitions": 1,
+        "datasets": [{"name": "mm", "generator": {"model": "mm", "nodes": 200, "seed": 1}}],
+        "samplers": [{"method": "ls"}]}))
+    assert main(["bench", "run", "--config", str(cfg_path)]) == 0
+    return out
+
+
+def drop_column(text, name):
+    rows = [line.split(",") for line in text.splitlines()]
+    at = rows[0].index(name)
+    return "".join(",".join(r[:at] + r[at + 1:]) + "\n" for r in rows)
+
+
+def without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+CELLS = "dists/cells/mm.ls.json"
+
+
+@pytest.mark.parametrize("file, damage, message", [
+    ("raw.csv", lambda text: drop_column(text, "value"), ": no value column"),
+    ("raw.csv", lambda text: text.replace(",avg_degree,", ",avg_degree", 1), ", line 2: not 6 fields"),
+    ("originals/mm.json", lambda d: without(d, "distributions"), ": report has no distributions"),
+    (CELLS, lambda d: {rep: {**kinds, "degree": without(kinds["degree"], "pmf")} for rep, kinds in d.items()},
+     ": distribution has no pmf"),
+    (CELLS, lambda d: {rep: without(kinds, "clustering") for rep, kinds in d.items()},
+     ": repetition 0 has no clustering"),
+    (CELLS, lambda d: list(d.values()), ": cells file is not a JSON object"),
+], ids=["raw_without_value", "raw_row_too_short", "original_without_distributions",
+        "cell_distribution_without_pmf", "cells_without_clustering", "cells_as_a_list"])
+def test_damaged_bundle_is_a_usage_error(mm_bundle, tmp_path, capsys, file, damage, message):
+    bundle = tmp_path / "out"
+    shutil.copytree(mm_bundle, bundle)
+    path = bundle / file
+    if path.suffix == ".json":
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    else:
+        path.write_text(damage(path.read_text()))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "aggregate", "--raw", str(bundle / "raw.csv"), "--out-dir", str(tmp_path / "reagg")])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("graphsample: error:")]
+    assert errors == [f"graphsample: error: {path}{message}"]
 
 
 def test_failed_sampler_gets_the_same_summary_from_run_and_aggregate(tmp_path, monkeypatch):

@@ -230,6 +230,21 @@ class TestRunExperiment:
         assert float(timing["sample_seconds"]) > 0.0
         assert float(timing["properties_seconds"]) == 0.0
 
+    def test_one_node_sample_becomes_a_properties_error_row(self, tmp_path):
+        # ceil(0.025 * 40) = 1 node and no edge, so the cell's report fails; the 4-node cells do not
+        sw40 = DatasetSpec(name="sw40", generator=GeneratorConfig(model="sw", nodes=40, seed=1))
+        res = run_experiment(tiny_config(tmp_path / "out", datasets=(sw40,), phis=(0.025, 0.1),
+                                         repetitions=1))
+        message = "ValueError: property report needs a non-empty graph with edges"
+        assert res.errors == [{"dataset": "sw40", "method": "ls", "phi": 0.025, "rep": 0,
+                               "stage": "properties", "message": message}]
+        with open(res.output_dir / "errors.csv", newline="") as fh:
+            assert [(rec["stage"], rec["message"]) for rec in csv.DictReader(fh)] == [("properties", message)]
+        assert {r.phi for r in res.rows} == {0.1}
+        # the JSD compares distributions at the lowest phi, where the only cell failed
+        assert [w for w in res.tables.warnings if w.startswith("jsd gap")] == [
+            f"jsd gap: sw40/ls/{kind}" for kind in ("degree", "clustering", "path_length")]
+
     def test_staged_graphs_released(self, tmp_path, monkeypatch):
         run_experiment(tiny_config(tmp_path / "ok", phis=(0.1,), repetitions=1))
         assert harness._SWEEP is None
@@ -496,6 +511,8 @@ class TestConfig:
         cfg = tiny_config(tmp_path / "o", phis=(0.5, 2.0))
         with pytest.raises(ValueError):
             cfg.validate()
+        with pytest.raises(ValueError, match="no sampling fractions configured"):
+            tiny_config(tmp_path / "o", phis=()).validate()
         cfg = tiny_config(tmp_path / "o", phis=(0.1, 0.1))   # would run every cell twice
         with pytest.raises(ValueError, match="unique"):
             cfg.validate()

@@ -1,4 +1,4 @@
-"""Peak-memory guards for the edge-list, small-world and kernel paths.
+"""Peak-memory guards for the edge-list, small-world, mixed-model and kernel paths.
 
 Each test takes the tracemalloc peak (numpy buffers included) of one call
 and divides it by the number of lines or edges. The bounds sit between
@@ -15,7 +15,10 @@ padded buckets gathered in chunks of BFS_BUDGET words (203; SW and MM
 217-276). The sampled path bound on SW n=20,000 plus 2,000 five-node
 paths (the LCC is two thirds of the nodes) sits between rebuilding the
 LCC as a graph of its own (72 B per edge; FF and MM the same) and
-walking it inside the graph (47; FF and MM 39-43).
+walking it inside the graph (47; FF and MM 39-43). The mixed-model bound
+on MM n=20,000 sits between keeping the edge list three times, as two
+endpoint lists beside the degree-proportional draw pool (111 B per edge),
+and keeping it once, as that pool (95).
 """
 
 import io
@@ -30,6 +33,7 @@ from graphsample.properties import path_length_stats, triangle_edge_counts
 
 LOAD_BYTES_PER_LINE = 172
 SW_BYTES_PER_EDGE = 160
+MM_BYTES_PER_EDGE = 102
 DUMP_BYTES_PER_EDGE = 110
 TRIANGLE_BYTES_PER_EDGE = 215
 EDGE_ARRAY_BYTES_PER_EDGE = 48
@@ -66,6 +70,12 @@ def test_small_world_peak_per_edge():
     g, peak = traced_peak(lambda: generate(GeneratorConfig(model="sw", nodes=20000)))
     assert g.m == 160_000
     assert peak / g.m < SW_BYTES_PER_EDGE
+
+
+def test_mixed_model_peak_per_edge():
+    g, peak = traced_peak(lambda: generate(GeneratorConfig(model="mm", nodes=20000)))
+    assert g.m > 0.99 * 8 * 20000
+    assert peak / g.m < MM_BYTES_PER_EDGE
 
 
 def test_dump_edge_list_peak_per_edge(sw_graph, tmp_path):

@@ -255,6 +255,11 @@ class TestPropertyReport:
         d["distributions"] = dict(reversed(d["distributions"].items()))
         assert json.dumps(type(rep).from_dict(d).to_dict()) == json.dumps(rep.to_dict())
 
+    def test_needs_a_graph_with_edges(self):
+        for g in (build_graph([], [], n=0), build_graph([], [], n=4)):
+            with pytest.raises(ValueError, match="non-empty graph with edges"):
+                property_report(g)
+
     def test_from_dict_rejects_other_keys(self):
         d = property_report(random_graph(60, 0.1, seed=2), seed=0).to_dict()
         for part, key in (("scalars", "avg_degree"), ("distributions", "clustering")):
