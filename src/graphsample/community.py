@@ -31,9 +31,10 @@ def modularity(g: Graph, labels: np.ndarray) -> float:
         raise ValueError("partition must assign a community to every node")
     if g.m == 0:
         raise ValueError("modularity undefined for an empty edge set")
-    k = int(labels.max()) + 1 if len(labels) else 0
-    if labels.min() < 0 or not np.bincount(labels, minlength=k).all():
-        raise ValueError("community ids must be dense in [0, #communities)")
+    k = int(labels.max()) + 1
+    if (labels.dtype.kind not in "iu" or labels.min() < 0 or k > len(labels)
+            or not np.bincount(labels, minlength=k).all()):
+        raise ValueError("community ids must be dense integers in [0, #communities)")
     ea = g.edge_array()
     intra = labels[ea[:, 0]] == labels[ea[:, 1]]
     m_c = np.bincount(labels[ea[:, 0]][intra], minlength=k).astype(np.float64)
@@ -88,16 +89,22 @@ def _one_level(
     """Local node moving; returns (community per node, whether any move happened).
 
     Nodes are visited in a fresh ``rng.permutation`` per sweep. A node
-    joins the neighbouring community with the largest gain, ties going
-    to the smallest community id, and stays unless some gain exceeds
-    MIN_GAIN. Each node's weight into each neighbouring community is
-    kept up to date along the CSR row of every node that moves, so a
-    visit costs its number of neighbouring communities, not its degree.
-    Plain Python lists keep numpy scalars out of the loop.
+    moves only if some gain exceeds MIN_GAIN, to the community picked
+    by an ascending-id chain that takes each gain beating the best so
+    far by more than MIN_GAIN. No gain exceeds ``strength - lcur -
+    base``: other ``lc <= strength - lcur``, ``comm_tot[c] >= 0`` and
+    float subtraction is monotone. If one pass finds the top two gains
+    ``g1 > g2 + MIN_GAIN``, the chain ends at g1: it beats any earlier
+    best (at most g2) and no later gain (at most g2) beats it. Only a
+    near tie runs the chain. A node's weight into each neighbouring
+    community is kept up to date along the CSR row of every moved node,
+    so a visit costs its number of neighbouring communities, not its
+    degree. Plain Python lists keep numpy scalars out of the loop.
     """
     n = len(loops)
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    node_deg = (np.bincount(rows, weights=weights, minlength=n) + 2.0 * loops).tolist()
+    strength = np.bincount(rows, weights=weights, minlength=n)   # link weight without loops
+    node_deg, strength = (strength + 2.0 * loops).tolist(), strength.tolist()
     ptr, nbr, wt = indptr.tolist(), indices.tolist(), weights.tolist()
     comm = list(range(n))
     comm_tot = node_deg.copy()
@@ -115,15 +122,24 @@ def _one_level(
             dv = node_deg[v]
             link = links[v]
             comm_tot[cur] -= dv
-            base = link.get(cur, 0.0) - comm_tot[cur] * dv / m2
-            # best_gain starts at 0, so a gain <= MIN_GAIN can never win;
-            # cur itself scores exactly 0 and drops out here too
-            gains = {c: gain for c, lc in link.items()
-                     if (gain := lc - comm_tot[c] * dv / m2 - base) > MIN_GAIN}
-            best_c, best_gain = cur, 0.0
-            for c in sorted(gains):
-                if gains[c] > best_gain + MIN_GAIN:
-                    best_c, best_gain = c, gains[c]
+            base = (lcur := link.get(cur, 0.0)) - comm_tot[cur] * dv / m2
+            if strength[v] - lcur - base <= MIN_GAIN:   # bounds every gain: v stays
+                comm_tot[cur] += dv
+                continue
+            best_c, g1, g2 = cur, 0.0, 0.0   # cur scores exactly 0: never a candidate
+            for c, lc in link.items():
+                gain = lc - comm_tot[c] * dv / m2 - base
+                if gain > g1:
+                    best_c, g1, g2 = c, gain, g1
+                elif gain > g2:
+                    g2 = gain
+            if g1 <= MIN_GAIN:
+                best_c = cur
+            elif g1 <= g2 + MIN_GAIN:   # near tie: the ascending-id chain decides
+                best_c, best_gain = cur, 0.0
+                for c, lc in sorted(link.items()):
+                    if (gain := lc - comm_tot[c] * dv / m2 - base) > best_gain + MIN_GAIN:
+                        best_c, best_gain = c, gain
             comm[v] = best_c
             comm_tot[best_c] += dv
             if best_c != cur:

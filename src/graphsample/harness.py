@@ -413,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if res.distributions is not None:
             cell_dists.setdefault((ds, scfg.label), {})[rep_i] = res.distributions
 
-    _write_dicts(out / "raw.csv", [dataclasses.asdict(r) for r in rows],
+    _write_dicts(out / "raw.csv", [vars(r) for r in rows],
                  [f.name for f in dataclasses.fields(ReportRow)])
     _write_dicts(out / "timings.csv", timings,
                  ["dataset", "method", "phi", "rep", "sample_seconds", "properties_seconds"])

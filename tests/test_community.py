@@ -8,7 +8,7 @@ from graphsample.community import detect_communities, modularity
 from graphsample.generators import GeneratorConfig, generate
 from graphsample.graph import build_graph
 
-from oracles import complete_graph, louvain_oracle, modularity_oracle, random_graph
+from oracles import complete_graph, cycle, louvain_oracle, modularity_oracle, random_graph
 
 # SHA-256 of the int64 labels, computed with the dict-of-dicts Louvain
 GOLDEN_GENERATED = {
@@ -47,6 +47,37 @@ def two_triangles():
     return build_graph([0, 0, 1, 3, 3, 4], [1, 2, 2, 4, 5, 5])
 
 
+def grid(rows, cols):
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    v = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    return build_graph(u, v)
+
+
+def complete_bipartite(a, b):
+    return build_graph(np.repeat(np.arange(a), b), np.tile(np.arange(a, a + b), a))
+
+
+def barbell(k):
+    """Two K_k joined by one bridge from node k - 1 to node k."""
+    pairs = [(base + i, base + j) for base in (0, k) for i in range(k) for j in range(i + 1, k)]
+    us, vs = zip(*pairs, (k - 1, k))
+    return build_graph(us, vs)
+
+
+# symmetric graphs whose gains tie exactly, so visits reach the ascending-id chain
+TIE_RICH = {
+    "ring12": cycle(12),
+    "ring30": cycle(30),
+    "grid4x4": grid(4, 4),
+    "grid5x7": grid(5, 7),
+    "k33": complete_bipartite(3, 3),
+    "k27": complete_bipartite(2, 7),
+    "barbell_k4": barbell(4),
+    "barbell_k6": barbell(6),
+}
+
+
 class TestModularity:
     def test_two_disjoint_triangles(self):
         q = modularity(two_triangles(), np.array([0, 0, 0, 1, 1, 1]))
@@ -74,6 +105,11 @@ class TestModularity:
             modularity(g, np.array([0, 2, 2, 3]))        # non-dense ids
         with pytest.raises(ValueError):
             modularity(build_graph([], [], n=3), np.zeros(3, dtype=int))
+        ring = cycle(4)
+        with pytest.raises(ValueError):                  # checked before any count is allocated
+            modularity(ring, np.array([0, 0, 1, 2**40]))
+        with pytest.raises(ValueError):
+            modularity(ring, np.array([0.0, 0.0, 1.0, 1.0]))
 
 
 class TestDetectCommunities:
@@ -146,3 +182,9 @@ class TestIdenticalPartitions:
         g = random_graph(int(rng.integers(5, 120)), float(rng.uniform(0.01, 0.3)), seed=case)
         for seed in range(3):
             assert np.array_equal(detect_communities(g, seed=seed), louvain_oracle(g, seed=seed))
+
+    @pytest.mark.parametrize("name", TIE_RICH)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tie_rich_matches_oracle(self, name, seed):
+        g = TIE_RICH[name]
+        assert np.array_equal(detect_communities(g, seed=seed), louvain_oracle(g, seed=seed))
