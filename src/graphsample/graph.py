@@ -202,9 +202,9 @@ def build_graph(
     # both directions of every edge as src * n + dst: one sort dedups the
     # pairs and orders them by (src, dst), which is the CSR layout
     key = _sorted_unique(np.concatenate([u * n + v, v * n + u]))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
-    indices = (key % n).astype(np.int32)
+    # row s is the keys in [s * n, (s + 1) * n); key is a fresh copy to overwrite
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    indices = np.remainder(key, n, out=key).astype(np.int32)
     return Graph(indptr=indptr, indices=indices, orig_ids=orig_ids)
 
 
@@ -226,7 +226,7 @@ def load_edge_list(source: str | Path | TextIO) -> Graph:
         with open(source, encoding="utf-8") as fh:
             return load_edge_list(fh)
 
-    us, vs = array("q"), array("q")    # no Python object per edge
+    ids = array("q")    # both endpoints of each line; no Python object per edge
     lineno = lines_skipped = 0
     for lineno, line in enumerate(source, start=1):
         # split() and strip() share one whitespace rule, so an empty split
@@ -238,33 +238,30 @@ def load_edge_list(source: str | Path | TextIO) -> Graph:
         if len(parts) < 2:
             raise EdgeListParseError(lineno, f"expected 'u v', got {line.strip()!r}")
         try:
-            us.append(int(parts[0]))
-            vs.append(int(parts[1]))
+            ids.append(int(parts[0]))
+            ids.append(int(parts[1]))
         except ValueError:
             raise EdgeListParseError(lineno, f"non-integer node id in {line.strip()!r}") from None
         except OverflowError:
             raise EdgeListParseError(lineno, f"node id outside int64 in {line.strip()!r}") from None
 
-    if not us:
+    if not ids:
         raise ValueError("empty edge list: no edges found")
 
-    raw_u = np.frombuffer(us, dtype=np.int64)
-    raw_v = np.frombuffer(vs, dtype=np.int64)
-    loops = raw_u == raw_v
-    loop_ids = raw_u[loops]
-    raw_u, raw_v = raw_u[~loops], raw_v[~loops]
-    if len(raw_u) == 0:
+    pairs = np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
+    loops = pairs[:, 0] == pairs[:, 1]
+    edges = pairs[~loops]
+    if len(edges) == 0:
         raise ValueError("empty edge list: all edges were self-loops")
-    orig_ids = _sorted_unique(np.concatenate([raw_u, raw_v]))
-    g = build_graph(np.searchsorted(orig_ids, raw_u), np.searchsorted(orig_ids, raw_v),
-                    n=len(orig_ids))
+    orig_ids = _sorted_unique(edges)
+    g = build_graph(*np.searchsorted(orig_ids, edges).T, n=len(orig_ids))
     stats = LoadStats(
         lines_total=lineno,
         lines_skipped=lines_skipped,
-        edges_raw=len(us),
+        edges_raw=len(pairs),
         self_loops_dropped=int(loops.sum()),
-        duplicates_dropped=len(raw_u) - g.m,
-        isolated_dropped=len(np.setdiff1d(loop_ids, orig_ids)),
+        duplicates_dropped=len(edges) - g.m,
+        isolated_dropped=len(np.setdiff1d(pairs[loops, 0], orig_ids)),
     )
     return Graph(g.indptr, g.indices, orig_ids, load_stats=stats)
 

@@ -561,14 +561,6 @@ def aggregate(rows: Iterable[ReportRow], originals: dict[str, PropertyReport],
 # Writers / readers
 
 
-def _fmt(x: Any) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def read_raw(path: str | Path) -> list[ReportRow]:
     rows: list[ReportRow] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -592,10 +584,9 @@ def read_raw(path: str | Path) -> list[ReportRow]:
 
 def _write_dicts(path: Path, rows: list[dict], columns: list[str]) -> None:
     with _atomic_open(path, newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(columns)
-        for r in rows:
-            w.writerow([_fmt(r.get(c)) for c in columns])
+        w = csv.DictWriter(fh, columns, lineterminator="\n")
+        w.writeheader()
+        w.writerows(rows)
 
 
 def write_tables(out: Path, rows: Iterable[ReportRow], originals: dict[str, PropertyReport],

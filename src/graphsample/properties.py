@@ -62,6 +62,8 @@ class Distribution:
             raise ValueError("support and pmf lengths differ")
         if len(self.pmf) == 0:
             raise ValueError("empty distribution")
+        if not (np.isfinite(self.support).all() and np.isfinite(self.pmf).all()):
+            raise ValueError("support and pmf must be finite")
         if np.any(self.pmf < 0):
             raise ValueError("negative pmf weight")
         total = float(self.pmf.sum())

@@ -295,6 +295,10 @@ def without(d, key):
     return {k: v for k, v in d.items() if k != key}
 
 
+def with_nan_pmf(dist):
+    return {**dist, "pmf": [float("nan")] * len(dist["pmf"])}
+
+
 CELLS = "dists/cells/mm.ls.json"
 
 
@@ -307,8 +311,10 @@ CELLS = "dists/cells/mm.ls.json"
     (CELLS, lambda d: {rep: without(kinds, "clustering") for rep, kinds in d.items()},
      ": repetition 0 has no clustering"),
     (CELLS, lambda d: list(d.values()), ": cells file is not a JSON object"),
+    (CELLS, lambda d: {rep: {**kinds, "degree": with_nan_pmf(kinds["degree"])} for rep, kinds in d.items()},
+     ": support and pmf must be finite"),
 ], ids=["raw_without_value", "raw_row_too_short", "original_without_distributions",
-        "cell_distribution_without_pmf", "cells_without_clustering", "cells_as_a_list"])
+        "cell_distribution_without_pmf", "cells_without_clustering", "cells_as_a_list", "cell_pmf_nan"])
 def test_damaged_bundle_is_a_usage_error(mm_bundle, tmp_path, capsys, file, damage, message):
     bundle = tmp_path / "out"
     shutil.copytree(mm_bundle, bundle)

@@ -181,6 +181,10 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph([0, 5], [1, 1], n=3)
 
+    def test_endpoint_lengths_differ(self):
+        with pytest.raises(ValueError, match="endpoint arrays differ in length"):
+            build_graph([0, 1], [1], n=3)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 25), st.integers(0, 25)), min_size=1, max_size=120))
     def test_normalizer_invariants(self, pairs):

@@ -120,6 +120,14 @@ class TestRunExperiment:
         assert raw.read_bytes() == before
         assert not list(res.output_dir.glob("*.tmp"))
 
+    def test_written_cells_and_stray_keys(self, tmp_path):
+        path = tmp_path / "t.csv"
+        harness._write_dicts(path, [{"a": 0.1, "b": None, "c": np.float64(0.5)},
+                                    {"a": 3, "b": "x,y", "c": 1e-20}], ["a", "b", "c"])
+        assert path.read_text() == 'a,b,c\n0.1,,0.5\n3,"x,y",1e-20\n'
+        with pytest.raises(ValueError, match="'stray'"):
+            harness._write_dicts(path, [{"a": 1, "stray": 2}], ["a"])
+
     def test_reproducible_bytes(self, tmp_path):
         cfg1 = tiny_config(tmp_path / "a")
         cfg2 = tiny_config(tmp_path / "b", phis=tuple(np.array([0.05, 0.1])))   # same values

@@ -19,6 +19,13 @@ walking it inside the graph (47; FF and MM 39-43). The mixed-model bound
 on MM n=20,000 sits between keeping the edge list three times, as two
 endpoint lists beside the degree-proportional draw pool (111 B per edge),
 and keeping it once, as that pool (95).
+
+The tighter load bound and the ``build_graph`` bound (SW n=20,000) sit
+between holding a second copy of the edges (143 B per line: two endpoint
+buffers and their concatenation; 41 B per edge: row ids and column ids
+each computed from the keys) and holding one (134: one interleaved
+buffer that the id sort flattens; 34: row offsets by a search of the
+keys, column ids written into them).
 """
 
 import io
@@ -32,6 +39,8 @@ from graphsample.graph import build_graph, dump_edge_list, load_edge_list
 from graphsample.properties import path_length_stats, triangle_edge_counts
 
 LOAD_BYTES_PER_LINE = 172
+LOAD_ONE_COPY_BYTES_PER_LINE = 139
+BUILD_BYTES_PER_EDGE = 38
 SW_BYTES_PER_EDGE = 160
 MM_BYTES_PER_EDGE = 102
 DUMP_BYTES_PER_EDGE = 110
@@ -64,6 +73,14 @@ def test_load_edge_list_peak_per_line():
     g, peak = traced_peak(lambda: load_edge_list(io.StringIO(text)))
     assert g.load_stats.edges_raw == lines
     assert peak / lines < LOAD_BYTES_PER_LINE
+    assert peak / lines < LOAD_ONE_COPY_BYTES_PER_LINE
+
+
+def test_build_graph_peak_per_edge(sw_graph):
+    ea = sw_graph.edge_array()
+    g, peak = traced_peak(lambda: build_graph(ea[:, 0], ea[:, 1], n=sw_graph.n))
+    assert np.array_equal(g.indices, sw_graph.indices)
+    assert peak / sw_graph.m < BUILD_BYTES_PER_EDGE
 
 
 def test_small_world_peak_per_edge():

@@ -70,6 +70,10 @@ class TestDegreeDistribution:
         expected = degree_histogram_oracle(g)
         assert {int(s): p for s, p in zip(d.support, d.pmf)} == pytest.approx(expected)
 
+    def test_empty_graph_error(self):
+        with pytest.raises(ValueError, match="degree distribution undefined for an empty graph"):
+            degree_distribution(build_graph([], [], n=0))
+
 
 class TestClustering:
     def test_k3_and_star(self):
@@ -186,6 +190,10 @@ class TestAssortativity:
         assert assortativity(cycle(8)) is None
         assert assortativity(complete_graph(5)) is None
 
+    def test_no_edges_error(self):
+        with pytest.raises(ValueError, match="assortativity undefined without edges"):
+            assortativity(build_graph([], [], n=4))
+
     def test_random_vs_oracle(self):
         for seed in range(5):
             g = random_graph(50, 0.15, seed=seed)
@@ -211,6 +219,24 @@ class TestDistributionType:
             d.pmf[0] = 0.9
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.pmf = np.array([0.9, 0.1])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Distribution(np.array([1, 2]), np.array([1.0])), "lengths differ"),
+        (lambda: Distribution(np.array([]), np.array([])), "empty distribution"),
+        (lambda: Distribution(np.array([0, 1]), np.array([np.nan, np.nan])), "must be finite"),
+        (lambda: Distribution(np.array([0, 1]), np.array([np.nan, 1.0])), "must be finite"),
+        (lambda: Distribution(np.array([0.0, np.nan]), np.array([0.5, 0.5])), "must be finite"),
+        (lambda: Distribution(np.array([np.nan]), np.array([1.0])), "must be finite"),
+        (lambda: Distribution(np.array([0.0, np.inf]), np.array([0.5, 0.5])), "must be finite"),
+        (lambda: Distribution.from_dict({"support": [0, 1], "pmf": [float("nan"), 1.0]}), "must be finite"),
+        (lambda: Distribution.from_dict([[0, 1], [0.5, 0.5]]), "distribution is not a JSON object"),
+        (lambda: Distribution.from_counts(np.array([], dtype=np.int64)), "no observations"),
+        (lambda: Distribution.from_histogram(np.array([]), 10, 0.0, 1.0), "no observations"),
+    ], ids=["lengths_differ", "empty", "nan_pmf", "nan_in_pmf", "nan_support", "nan_only_support",
+            "inf_support", "nan_pmf_from_json", "json_not_an_object", "no_counts", "no_histogram_values"])
+    def test_rejects_malformed(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 12), min_size=1, max_size=60))
