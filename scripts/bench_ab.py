@@ -10,6 +10,10 @@ For each end-to-end metric of BENCHMARK.json the record holds both
 medians, the parent's quartiles, the pairs the change won and lost (ties
 count for neither), the median paired ratio change / parent, and whether
 the gap between the medians exceeds the parent's interquartile range.
+Against the metric's ``bound`` it also holds ``within_bound`` (the
+change's median is no worse than the parent's by more than bound × the
+parent's median) and ``unresolved`` (the parent's IQR alone exceeds
+bound × its median, so a gap of the bound's size cannot be told apart).
 Every run is kept with its metrics, ``correct`` and ``failed``. The
 record, with the commits, the Python and numpy versions, nproc and both
 trees' src/ line counts, is written to BENCH_<label>.json at the repo
@@ -46,7 +50,7 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """A/B statistics of one metric over the pairs (parent[i], change[i])."""
     sign = 1 if better == "lower" else -1    # sign * (p - c) > 0: the change is better
     q1, q3 = quartiles(parent)
@@ -62,6 +66,8 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
         "pairs_lost": sum(sign * (p - c) < 0 for p, c in zip(parent, change)),
         "median_ratio": statistics.median(ratios) if ratios else None,
         "gap_exceeds_iqr": abs(cm - pm) > q3 - q1,
+        "within_bound": sign * (cm - pm) <= bound * pm,
+        "unresolved": q3 - q1 > bound * pm,
     }
 
 
@@ -81,8 +87,11 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def run_pairs(roots: dict[str, Path], workload: str, pairs: int, seed: int, seconds: float,
-              better: dict[str, str], runner: Callable[..., dict] = run_once) -> dict:
-    """``pairs`` alternating runs of the "parent" and "change" roots, and their A/B statistics."""
+              spec: dict[str, tuple[str, float]], runner: Callable[..., dict] = run_once) -> dict:
+    """``pairs`` alternating runs of the "parent" and "change" roots, and their A/B statistics.
+
+    ``spec`` maps each compared metric to its (better, bound).
+    """
     runs = []
     for pair in range(1, pairs + 1):
         for side in ("parent", "change") if pair % 2 else ("change", "parent"):
@@ -91,8 +100,8 @@ def run_pairs(roots: dict[str, Path], workload: str, pairs: int, seed: int, seco
             print(f"{workload} pair {pair} {side}: correct={run['correct']} failed={run['failed']} "
                   + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()), flush=True)
     by_side = {side: [r["metrics"] for r in runs if r["side"] == side] for side in roots}
-    ab = {name: compare([m[name] for m in by_side["parent"]], [m[name] for m in by_side["change"]], way)
-          for name, way in better.items()}
+    ab = {name: compare([m[name] for m in by_side["parent"]], [m[name] for m in by_side["change"]], *rule)
+          for name, rule in spec.items()}
     return {"runs": runs, "ab": ab}
 
 
@@ -118,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    rules = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
     record = {
         "label": args.label,
@@ -141,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         record["src_lines"] = {side: src_lines(root) for side, root in roots.items()}
         for workload in args.workload or WORKLOADS:
             record["workloads"][workload] = run_pairs(roots, workload, args.pairs, args.seed,
-                                                      args.seconds, better)
+                                                      args.seconds, rules)
             out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
     ok = True
@@ -149,12 +158,12 @@ def main(argv: list[str] | None = None) -> int:
         ok = ok and all(r["correct"] for r in result["runs"])
         print(f"\n{workload}: {args.pairs} pairs against {args.against}")
         print(f"  {'metric':12s} {'parent':>9s} {'q1..q3':>19s} {'change':>9s} {'won':>7s} "
-              f"{'ratio':>6s}  gap > IQR")
+              f"{'ratio':>6s}  gap > IQR  in bound  unresolved")
         for name, s in result["ab"].items():
             ratio = f"{s['median_ratio']:.3f}" if s["median_ratio"] is not None else "-"
             print(f"  {name:12s} {s['parent_median']:9.4g} {s['parent_q1']:9.4g}..{s['parent_q3']:<9.4g} "
                   f"{s['change_median']:9.4g} {s['pairs_won']:>3d}/{s['pairs']:<3d} {ratio:>6s}  "
-                  f"{s['gap_exceeds_iqr']}")
+                  f"{str(s['gap_exceeds_iqr']):9s}  {str(s['within_bound']):8s}  {s['unresolved']}")
     print(f"\nwrote {out}")
     return 0 if ok else 1
 

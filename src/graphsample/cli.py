@@ -28,7 +28,7 @@ from .harness import (
     write_distribution_csv,
     write_tables,
 )
-from .properties import EXACT_PATH_LIMIT, PATH_MODES, property_report
+from .properties import EXACT_PATH_LIMIT, PATH_MODES, PATH_SOURCES, property_report
 from .samplers import METHODS, SamplerConfig, sample
 
 
@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--path-mode", choices=PATH_MODES, default="auto",
                    help=f"as in a bench config; auto is exact up to a {EXACT_PATH_LIMIT}-node LCC")
-    p.add_argument("--path-sources", type=int, default=256, help="BFS sources when paths are sampled")
+    p.add_argument("--path-sources", type=int, default=PATH_SOURCES,
+                   help="BFS sources when paths are sampled")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", dest="json_out", default=None, help="report path (default: stdout)")
     p.add_argument("--dist-dir", default=None, help="also write support,pmf,ecdf CSVs here")

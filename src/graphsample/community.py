@@ -174,6 +174,4 @@ def _aggregate(
     cross = cu != cv
     key, at = np.unique(cu[cross] * k + cv[cross], return_inverse=True)
     new_w = np.bincount(at, weights=weights[cross], minlength=len(key))
-    new_indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // k, minlength=k), out=new_indptr[1:])
-    return new_indptr, key % k, new_w, new_loops
+    return np.searchsorted(key, np.arange(k + 1) * k), key % k, new_w, new_loops

@@ -44,7 +44,7 @@ from . import __version__ as _pkg_version
 from .generators import GeneratorConfig, generate
 from .graph import Graph, _check_field_types, _is_real, load_edge_list
 from .metrics import RATIO_SHIFTS, align_supports, confidence_interval_95, jsd, rmse, scaling_ratio
-from .properties import (DISTRIBUTIONS as DISTRIBUTION_KINDS, PATH_MODES, REPORT_VERSION,
+from .properties import (DISTRIBUTIONS as DISTRIBUTION_KINDS, PATH_MODES, PATH_SOURCES, REPORT_VERSION,
                          SCALARS as PROPERTY_ORDER, Distribution, PropertyReport, _json_fields,
                          property_report)
 from .samplers import METHODS, SamplerConfig, sample, sample_subgraph
@@ -116,7 +116,7 @@ class ExperimentConfig:
     repetitions: int = 10
     master_seed: int = 0
     path_mode: str = "auto"
-    path_sources: int = 256
+    path_sources: int = PATH_SOURCES
     output_dir: str = "bench_out"
     workers: int = 1
 

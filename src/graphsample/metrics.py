@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .graph import _sorted_unique
 from .properties import Distribution
 
 __all__ = [
@@ -45,7 +46,7 @@ def rmse(samples: Sequence[float], truth: float) -> float:
 
 def align_supports(*dists: Distribution) -> tuple[np.ndarray, np.ndarray]:
     """Union support and one zero-padded pmf row per distribution."""
-    support = np.unique(np.concatenate([d.support for d in dists]))
+    support = _sorted_unique(np.concatenate([d.support for d in dists]))
     pmfs = np.zeros((len(dists), len(support)), dtype=np.float64)
     for row, d in zip(pmfs, dists):
         row[np.searchsorted(support, d.support)] = d.pmf

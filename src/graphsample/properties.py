@@ -37,6 +37,7 @@ __all__ = [
 
 CC_BINS = 100           # uniform bins on [0, 1] for the clustering distribution
 EXACT_PATH_LIMIT = 5000  # LCC size up to which all-pairs BFS is used
+PATH_SOURCES = 256       # BFS sources when path lengths are sampled
 BFS_BUDGET = 1 << 18     # uint64 words (2 MB) in one BFS frontier and in one neighbour gather
 BFS_PAD = 1 << 13        # padding words that cost about as much as one more gather call
 TRIANGLE_CHUNK = 1 << 16  # wedges checked in one pass of triangle_edge_counts
@@ -58,6 +59,8 @@ class Distribution:
     pmf: np.ndarray
 
     def __post_init__(self):
+        if any(a.ndim != 1 or a.dtype.kind not in "iuf" for a in (self.support, self.pmf)):
+            raise ValueError("support and pmf must be 1-D arrays of numbers")
         if len(self.support) != len(self.pmf):
             raise ValueError("support and pmf lengths differ")
         if len(self.pmf) == 0:
@@ -78,14 +81,12 @@ class Distribution:
         return np.cumsum(self.pmf)
 
     @classmethod
-    def from_counts(cls, values: np.ndarray) -> "Distribution":
-        """pmf over the distinct integer values observed."""
-        values = np.asarray(values)
-        if values.size == 0:
+    def from_counts(cls, counts: np.ndarray) -> "Distribution":
+        """pmf over the values with a nonzero count in a ``np.bincount`` histogram."""
+        if not counts.any():
             raise ValueError("no observations")
-        support, counts = np.unique(values, return_counts=True)
-        return cls(support=support.astype(np.int64),
-                   pmf=counts / counts.sum())
+        support = np.flatnonzero(counts).astype(np.int64)
+        return cls(support=support, pmf=counts[support] / counts.sum())
 
     @classmethod
     def from_histogram(cls, values: np.ndarray, bins: int, lo: float, hi: float) -> "Distribution":
@@ -102,8 +103,8 @@ class Distribution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Distribution":
-        support, pmf = _json_fields(d, ("support", "pmf"), "distribution")
-        return cls(support=np.asarray(support), pmf=np.asarray(pmf, dtype=np.float64))
+        support, pmf = (np.asarray(a) for a in _json_fields(d, ("support", "pmf"), "distribution"))
+        return cls(support=support, pmf=pmf.astype(np.float64) if pmf.dtype.kind in "iu" else pmf)
 
 
 def _json_fields(d: Any, keys: tuple[str, ...], what: str) -> list:
@@ -161,7 +162,7 @@ def degree_distribution(g: Graph) -> Distribution:
     """Fraction of nodes at each observed degree."""
     if g.n == 0:
         raise ValueError("degree distribution undefined for an empty graph")
-    return Distribution.from_counts(g.degrees())
+    return Distribution.from_counts(np.bincount(g.degrees()))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +309,7 @@ def _hop_histogram(g: Graph, src: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 def path_length_stats(
     g: Graph,
     mode: str = "auto",
-    sources: int = 256,
+    sources: int = PATH_SOURCES,
     seed: int = 0,
 ) -> tuple[float, Distribution, dict[str, Any]]:
     """Mean shortest-path length and hop-count pmf over the LCC.
@@ -338,14 +339,8 @@ def path_length_stats(
         src = lcc[np.sort(rng.choice(nl, size=min(sources, nl), replace=False))]
     hist = _hop_histogram(g, src, lcc)
     mean = float(hist @ np.arange(len(hist)) / hist.sum())
-    support = np.flatnonzero(hist)
-    dist = Distribution(support=support.astype(np.int64), pmf=hist[support] / hist.sum())
-    flags = {
-        "path_mode": mode,
-        "path_sources": int(len(src)),
-        "lcc_fraction": nl / g.n,
-    }
-    return mean, dist, flags
+    flags = {"path_mode": mode, "path_sources": int(len(src)), "lcc_fraction": nl / g.n}
+    return mean, Distribution.from_counts(hist), flags
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +373,7 @@ def assortativity(g: Graph) -> float | None:
 def property_report(
     g: Graph,
     path_mode: str = "auto",
-    path_sources: int = 256,
+    path_sources: int = PATH_SOURCES,
     seed: int = 0,
 ) -> PropertyReport:
     """Compute all six properties and three distributions for one graph."""
@@ -389,7 +384,6 @@ def property_report(
     cc, gcc = clustering(g)
     labels = detect_communities(g, seed=seed)
     r = assortativity(g)
-    flags = dict(flags)
     flags.update({
         "assortativity_defined": r is not None,
         "gcc_has_triplets": bool((g.degrees() >= 2).any()),

@@ -125,7 +125,7 @@ class Sample:
     """Sampled node set and edge set in the host graph's id space."""
 
     nodes: np.ndarray            # sorted unique node ids
-    edges: np.ndarray            # (k, 2) rows with u < v, lexsorted
+    edges: np.ndarray            # (k, 2) rows with u < v, lexsorted; a raw sample's steps' pairs
     method: str
     phi: float
     seed: int
@@ -245,11 +245,9 @@ class _Run:
 
     def finish(self) -> Sample:
         """Finalize the run with its collected edges."""
-        n = self.g.n
-        u, v = np.array(self.us, dtype=np.int64), np.array(self.vs, dtype=np.int64)
-        key = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
         raw = Sample(nodes=np.array(self.tel.visit_order, dtype=np.int64),
-                     edges=np.column_stack([key // n, key % n]),
+                     edges=np.column_stack([np.array(self.us, dtype=np.int64),
+                                            np.array(self.vs, dtype=np.int64)]),
                      method=self.cfg.method, phi=self.cfg.phi, seed=self.cfg.seed,
                      mode="raw", telemetry=self.tel)
         return finalize(self.g, raw, self.cfg.finalize_mode)
@@ -258,10 +256,11 @@ class _Run:
 def finalize(g: Graph, raw: Sample, mode: str) -> Sample:
     """Trim overshoot back to the budget and fix the edge set.
 
-    ``collected`` keeps only traversal-collected edges; ``induced``
-    replaces them with every g-edge internal to the node set. Overshoot
-    (batch methods can exceed the budget on their last step) is trimmed
-    from the most recently visited nodes.
+    A raw sample's edges are its steps' pairs: unordered and possibly
+    repeated. ``collected`` keeps the pairs inside the node set, once each
+    as a lexsorted u < v row; ``induced`` takes every g-edge internal to
+    the node set. Overshoot (batch methods can exceed the budget on their
+    last step) is trimmed from the most recently visited nodes.
     """
     if mode not in ("induced", "collected"):
         raise ValueError(f"unknown finalize mode {mode!r}")
@@ -275,7 +274,9 @@ def finalize(g: Graph, raw: Sample, mode: str) -> Sample:
     else:
         mask = np.zeros(g.n, dtype=bool)
         mask[nodes] = True
-        edges = raw.edges[mask[raw.edges[:, 0]] & mask[raw.edges[:, 1]]]
+        pairs = raw.edges[mask[raw.edges[:, 0]] & mask[raw.edges[:, 1]]]
+        key = _sorted_unique(pairs.min(axis=1) * g.n + pairs.max(axis=1))
+        edges = np.column_stack([key // g.n, key % g.n])
     return Sample(nodes=nodes, edges=edges, method=raw.method, phi=raw.phi,
                   seed=raw.seed, mode=mode, telemetry=raw.telemetry)
 

@@ -299,6 +299,10 @@ def with_nan_pmf(dist):
     return {**dist, "pmf": [float("nan")] * len(dist["pmf"])}
 
 
+def with_null_support(dist):
+    return {**dist, "support": [*dist["support"][:-1], None]}
+
+
 CELLS = "dists/cells/mm.ls.json"
 
 
@@ -313,8 +317,11 @@ CELLS = "dists/cells/mm.ls.json"
     (CELLS, lambda d: list(d.values()), ": cells file is not a JSON object"),
     (CELLS, lambda d: {rep: {**kinds, "degree": with_nan_pmf(kinds["degree"])} for rep, kinds in d.items()},
      ": support and pmf must be finite"),
+    (CELLS, lambda d: {rep: {**kinds, "degree": with_null_support(kinds["degree"])} for rep, kinds in d.items()},
+     ": support and pmf must be 1-D arrays of numbers"),
 ], ids=["raw_without_value", "raw_row_too_short", "original_without_distributions",
-        "cell_distribution_without_pmf", "cells_without_clustering", "cells_as_a_list", "cell_pmf_nan"])
+        "cell_distribution_without_pmf", "cells_without_clustering", "cells_as_a_list", "cell_pmf_nan",
+        "cell_support_null"])
 def test_damaged_bundle_is_a_usage_error(mm_bundle, tmp_path, capsys, file, damage, message):
     bundle = tmp_path / "out"
     shutil.copytree(mm_bundle, bundle)

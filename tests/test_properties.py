@@ -230,10 +230,19 @@ class TestDistributionType:
         (lambda: Distribution(np.array([0.0, np.inf]), np.array([0.5, 0.5])), "must be finite"),
         (lambda: Distribution.from_dict({"support": [0, 1], "pmf": [float("nan"), 1.0]}), "must be finite"),
         (lambda: Distribution.from_dict([[0, 1], [0.5, 0.5]]), "distribution is not a JSON object"),
-        (lambda: Distribution.from_counts(np.array([], dtype=np.int64)), "no observations"),
+        (lambda: Distribution.from_counts(np.bincount(np.array([], dtype=np.int64))), "no observations"),
+        (lambda: Distribution.from_counts(np.zeros(4, dtype=np.int64)), "no observations"),
         (lambda: Distribution.from_histogram(np.array([]), 10, 0.0, 1.0), "no observations"),
+        (lambda: Distribution.from_dict({"support": [0, None], "pmf": [0.5, 0.5]}), "1-D arrays of numbers"),
+        (lambda: Distribution.from_dict({"support": ["a", "b"], "pmf": [0.5, 0.5]}), "1-D arrays of numbers"),
+        (lambda: Distribution.from_dict({"support": [[0], [1]], "pmf": [0.5, 0.5]}), "1-D arrays of numbers"),
+        (lambda: Distribution.from_dict({"support": [0, 1], "pmf": [[0.5], [0.5]]}), "1-D arrays of numbers"),
+        (lambda: Distribution.from_dict({"support": [0, 1], "pmf": ["0.5", "0.5"]}), "1-D arrays of numbers"),
+        (lambda: Distribution.from_dict({"support": [True, False], "pmf": [0.5, 0.5]}), "1-D arrays of numbers"),
     ], ids=["lengths_differ", "empty", "nan_pmf", "nan_in_pmf", "nan_support", "nan_only_support",
-            "inf_support", "nan_pmf_from_json", "json_not_an_object", "no_counts", "no_histogram_values"])
+            "inf_support", "nan_pmf_from_json", "json_not_an_object", "no_counts", "all_zero_counts",
+            "no_histogram_values", "null_in_support", "string_support", "nested_support", "nested_pmf",
+            "string_pmf", "bool_support"])
     def test_rejects_malformed(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -241,14 +250,17 @@ class TestDistributionType:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 12), min_size=1, max_size=60))
     def test_counts_normalized_and_ecdf_monotone(self, values):
-        d = Distribution.from_counts(np.array(values))
+        d = Distribution.from_counts(np.bincount(values))
+        support, counts = np.unique(values, return_counts=True)
+        assert d.support.dtype == np.int64 and d.support.tolist() == support.tolist()
+        assert d.pmf.tolist() == (counts / counts.sum()).tolist()
         assert d.pmf.sum() == pytest.approx(1.0, abs=1e-9)
         e = d.ecdf()
         assert np.all(np.diff(e) >= -1e-12)
         assert e[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_roundtrip(self):
-        d = Distribution.from_counts(np.array([1, 1, 2, 5]))
+        d = Distribution.from_counts(np.bincount([1, 1, 2, 5]))
         d2 = Distribution.from_dict(d.to_dict())
         assert np.array_equal(d.support, d2.support)
         assert np.allclose(d.pmf, d2.pmf)

@@ -289,6 +289,17 @@ class TestFinalize:
         out = finalize(g, self.triangle_raw([[0, 1], [1, 2]]), "collected")
         assert out.edges.tolist() == [[0, 1], [1, 2]]
 
+    def test_collected_orders_dedupes_and_trims_raw_pairs(self):
+        tel = Telemetry()
+        tel.visit_order = [2, 0, 1, 3]   # phi 0.75 of 4 nodes: node 3 is overshoot
+        pairs = [[2, 0], [0, 1], [1, 0], [2, 1], [1, 3], [0, 2]]
+        raw = Sample(nodes=np.array([2, 0, 1, 3]), edges=np.array(pairs),
+                     method="fs", phi=0.75, seed=0, mode="raw", telemetry=tel)
+        out = finalize(complete_graph(4), raw, "collected")
+        assert out.nodes.tolist() == [0, 1, 2]
+        assert out.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert tel.trims == 1
+
     def test_induced_matches_filter_oracle(self):
         g = random_graph(40, 0.2, seed=9)
         smp = sample(g, SamplerConfig("xs", phi=0.3, seed=1, finalize_mode="induced"))
