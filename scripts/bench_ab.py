@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Paired A/B runs of the benchmark: a git revision against this checkout.
+"""Paired A/B runs of the benchmark: a git revision against this checkout or another revision.
 
 Each pair runs ``perfbench/run.py --trace 0`` once on each side: the
 parent from a ``git archive REV | tar -x`` extract, the change from this
-checkout's working tree. Each side runs its own run.py, which imports
-its own src/. The sides alternate, the parent first in odd pairs.
+checkout's working tree, or with ``--change REV`` from an extract of that
+revision. Each side runs its own run.py, which imports its own src/. The
+sides alternate, the parent first in odd pairs.
 
 For each end-to-end metric of BENCHMARK.json the record holds both
 medians, the parent's quartiles, the pairs the change won and lost (ties
@@ -19,8 +20,8 @@ record, with the commits, the Python and numpy versions, nproc and both
 trees' src/ line counts, is written to BENCH_<label>.json at the repo
 root. Exits 1 when any run is not correct.
 
-Usage: python scripts/bench_ab.py --against REV [--pairs 10] [--workload W ...]
-       [--seed 1] [--seconds 20] [--label ab]
+Usage: python scripts/bench_ab.py --against REV [--change REV] [--pairs 10]
+       [--workload W ...] [--seed 1] [--seconds 20] [--label ab]
 """
 
 from __future__ import annotations
@@ -115,9 +116,19 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def extract(rev: str, dest: Path) -> Path:
+    """Write ``rev``'s committed tree into a new directory ``dest`` by ``git archive``."""
+    archive = subprocess.run(["git", "-C", str(REPO_ROOT), "archive", rev],
+                             check=True, capture_output=True).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, metavar="REV")
+    parser.add_argument("--change", metavar="REV", help="default: this checkout's working tree")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
@@ -131,8 +142,8 @@ def main(argv: list[str] | None = None) -> int:
 
     record = {
         "label": args.label,
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "commit": git("rev-parse", f"{args.change or 'HEAD'}^{{commit}}"),
+        "dirty": not args.change and bool(git("status", "--porcelain", "--untracked-files=no")),
         "against": {"rev": args.against, "commit": git("rev-parse", f"{args.against}^{{commit}}")},
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
@@ -142,11 +153,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     out = REPO_ROOT / f"BENCH_{args.label}.json"
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
-        parent = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(REPO_ROOT), "archive", record["against"]["commit"]],
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
-        roots = {"parent": parent, "change": REPO_ROOT}
+        roots = {"parent": extract(record["against"]["commit"], Path(tmp) / "parent"),
+                 "change": extract(record["commit"], Path(tmp) / "change") if args.change else REPO_ROOT}
         record["src_lines"] = {side: src_lines(root) for side, root in roots.items()}
         for workload in args.workload or WORKLOADS:
             record["workloads"][workload] = run_pairs(roots, workload, args.pairs, args.seed,

@@ -47,7 +47,10 @@ def detect_communities(g: Graph, seed: int = 0) -> np.ndarray:
     """Louvain with a seeded node visiting order; returns dense labels.
 
     Deterministic for a fixed (graph, seed). Never returns a partition
-    worse than the single community (Q = 0).
+    worse than the single community (Q = 0). Levels number communities
+    by first appearance and super-node ids rise with their first node,
+    so the composed labels need no relabel; a level that moved no node
+    returns ``range(n)`` (a move joins a neighbour's community).
     """
     if g.m == 0:
         raise ValueError("community detection needs at least one edge")
@@ -57,25 +60,15 @@ def detect_communities(g: Graph, seed: int = 0) -> np.ndarray:
     m2 = 2.0 * g.m
 
     while True:
-        comm, improved = _one_level(*level, m2, rng)
-        dense = _dense_labels(comm)
-        membership = dense[membership]
-        if not improved:
+        comm = _one_level(*level, m2, rng)
+        if comm.max() + 1 == len(comm):   # every node alone: the level moved none
             break
-        level = _aggregate(*level, dense)
+        membership = comm[membership]
+        level = _aggregate(*level, comm)
 
-    out = _dense_labels(membership)
-    if modularity(g, out) < 0.0:
-        out = np.zeros(g.n, dtype=np.int64)
-    return out
-
-
-def _dense_labels(labels: np.ndarray) -> np.ndarray:
-    """Relabel to [0, k) in order of first appearance."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse]
+    if modularity(g, membership) < 0.0:
+        membership = np.zeros(g.n, dtype=np.int64)
+    return membership
 
 
 def _one_level(
@@ -85,8 +78,9 @@ def _one_level(
     loops: np.ndarray,
     m2: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, bool]:
-    """Local node moving; returns (community per node, whether any move happened).
+) -> np.ndarray:
+    """Local node moving; returns each node's community, numbered 0..k-1
+    in order of first appearance.
 
     Nodes are visited in a fresh ``rng.permutation`` per sweep. A node
     moves only if some gain exceeds MIN_GAIN, to the community picked
@@ -111,7 +105,6 @@ def _one_level(
     # links[v][c]: weight from v into community c; every node starts alone
     links = [dict(zip(nbr[a:b], wt[a:b])) for a, b in zip(ptr, ptr[1:])]
 
-    improved = False
     moved = True
     sweeps = 0
     while moved and sweeps < MAX_SWEEPS:
@@ -144,7 +137,6 @@ def _one_level(
             comm_tot[best_c] += dv
             if best_c != cur:
                 moved = True
-                improved = True
                 a, b = ptr[v], ptr[v + 1]
                 for w, x in zip(nbr[a:b], wt[a:b]):
                     lw = links[w]
@@ -154,7 +146,8 @@ def _one_level(
                     else:   # no neighbour left in cur: it is no candidate for w
                         del lw[cur]
                     lw[best_c] = lw.get(best_c, 0.0) + x
-    return np.array(comm, dtype=np.int64), improved
+    dense: dict[int, int] = {}
+    return np.array([dense.setdefault(c, len(dense)) for c in comm], dtype=np.int64)
 
 
 def _aggregate(

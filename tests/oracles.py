@@ -10,6 +10,8 @@ generator, kept as the reference for the implicit-lattice one.
 ``forest_fire_oracle`` and ``mixed_model_oracle`` are the earlier
 generators that call ``np.random.Generator`` once per draw, kept as the
 reference for the ones that decode raw PCG64 words.
+``rank_degree_oracle`` is rank degree sampling written from its
+definition, drawing from its Generator exactly as the sampler does.
 """
 
 from __future__ import annotations
@@ -336,6 +338,71 @@ def expansion_order_oracle(g: Graph, budget: int, seed: int, rule: str = "unifor
         order.append(v)
         sampled.add(v)
     return order
+
+
+def _noisy_ceil(x: float) -> int:
+    """ceil(x), but x within 1e-9 (relative, at least absolute) of an integer is that integer."""
+    if abs(x - round(x)) < 1e-9 * max(1.0, abs(x)):
+        return round(x)
+    return math.ceil(x)
+
+
+def rank_degree_oracle(g: Graph, cfg) -> dict:
+    """RD sample from the definition (Voudigari et al., ASONAM 2016), on sets and lists.
+
+    ``rd_seeds`` distinct uniform seeds are sampled. Each round draws one
+    node u of the seed set uniformly; if u has no unsampled neighbour it
+    leaves the seed set, else its unsampled neighbours are ranked by
+    degree, then smaller id, and the top max(1, ceil(rho * count)) are
+    sampled through their edges to u and become the seed set. An empty
+    seed set restarts from a uniform unsampled node. The visits past
+    ceil(phi * n) are trimmed from the end. Returns the nodes, the edges
+    of the finalize mode, the step log, the counters and the final
+    ``bit_generator.state``, all drawn by the sampler's Generator calls.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    nbrs = [set() for _ in range(g.n)]
+    for a, b in g.edge_array().tolist():
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    budget = min(_noisy_ceil(cfg.phi * g.n), g.n)
+    order: list[int] = []
+    events: list[tuple] = []
+    pairs: list[tuple[int, int]] = []
+    steps = restarts = 0
+    seed_set = rng.choice(g.n, cfg.rd_seeds, replace=False).tolist()
+    for v in seed_set:
+        order.append(v)
+        events.append(("visit", v))
+    while len(order) < budget:
+        if not seed_set:
+            pool = [v for v in range(g.n) if v not in order]
+            v = pool[int(rng.integers(len(pool)))]
+            order.append(v)
+            events.append(("visit", v))
+            restarts += 1
+            seed_set = [v]
+            continue
+        i = int(rng.integers(len(seed_set)))
+        u = seed_set[i]
+        cand = [w for w in nbrs[u] if w not in order]
+        if not cand:
+            del seed_set[i]
+            continue
+        top = sorted(cand, key=lambda w: (-len(nbrs[w]), w))[:max(1, _noisy_ceil(cfg.rd_rho * len(cand)))]
+        for w in top:
+            order.append(w)
+            events.append(("edge", u, w))
+            pairs.append((u, w))
+        steps += 1
+        seed_set = top
+    kept = set(order[:budget])
+    if cfg.finalize_mode == "induced":
+        edges = [(a, b) for a in kept for b in nbrs[a] if a < b and b in kept]
+    else:
+        edges = [(min(a, b), max(a, b)) for a, b in pairs if a in kept and b in kept]
+    return {"nodes": sorted(kept), "edges": sorted(set(edges)), "events": events, "steps": steps,
+            "restarts": restarts, "trims": len(order) - len(kept), "state": rng.bit_generator.state}
 
 
 def jsd_oracle(p: dict, q: dict, base: float = 2.0) -> float:

@@ -216,13 +216,17 @@ def test_criterion_4_walk_statistics():
         for seed in (0, 1):
             smp = hybrid_jump_sample(g2, SamplerConfig("hj", phi=1.0, seed=seed, hj_alpha=0.0))
             proposals.extend(smp.telemetry.proposals)
-        leaf = [acc for dv, dw, acc in proposals if dv == 1 and dw == 99]
+        leaf = [(dw, acc) for dv, dw, acc in proposals if dv == 1]
         n = len(leaf)
         assert n >= 10_000
-        accepted = sum(leaf)
+        assert all(dw == 99 for dw, _ in leaf)   # a leaf's one neighbour is the hub
+        accepted = sum(acc for _, acc in leaf)
         p = 1.0 / 99.0
         gap = abs(accepted - n * p)
         assert gap <= 3.0 * math.sqrt(n * p * (1 - p))
+        # the hub's proposals are always accepted (ratio 99 >= 1)
+        hub = [acc for dv, _, acc in proposals if dv == 99]
+        assert hub and all(hub)
         info["detail"] = (f"{len(draws)} walker draws (|z|<=3sigma), "
                           f"{n} leaf proposals, acc {accepted / n:.4f} vs {p:.4f}")
         assert time.perf_counter() - t0 < 60.0

@@ -90,3 +90,13 @@ def test_pairs_alternate_parent_first_in_odd_pairs():
     assert list(result["ab"]) == ["wall_s"]
     assert result["ab"]["wall_s"]["pairs_won"] == 3
     assert result["ab"]["wall_s"]["median_ratio"] == pytest.approx(0.5)
+
+
+def test_extract_writes_the_committed_tree(tmp_path):
+    tree = bench_ab.extract("HEAD", tmp_path / "head")
+    files = bench_ab.git("ls-tree", "-r", "--name-only", "HEAD").splitlines()
+    assert sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file()) == sorted(files)
+    assert (tree / "perfbench" / "run.py").is_file()
+    committed = [f for f in files if f.startswith("src/") and f.endswith(".py")]
+    assert bench_ab.src_lines(tree) == sum(
+        len(bench_ab.git("show", f"HEAD:{f}").splitlines()) for f in committed)

@@ -150,7 +150,7 @@ class TestDetectCommunities:
     def test_negative_modularity_falls_back_to_one_community(self, monkeypatch):
         # singletons with no move: Q = -sum (d_v / 2m)^2 < 0, so the single community wins
         monkeypatch.setattr(community, "_one_level",
-                            lambda indptr, indices, weights, loops, m2, rng: (np.arange(len(loops)), False))
+                            lambda indptr, indices, weights, loops, m2, rng: np.arange(len(loops)))
         g = two_triangles()
         assert modularity(g, np.arange(g.n)) < 0.0
         assert detect_communities(g, seed=0).tolist() == [0] * g.n
@@ -158,6 +158,23 @@ class TestDetectCommunities:
     def test_needs_edges(self):
         with pytest.raises(ValueError):
             detect_communities(build_graph([], [], n=4))
+
+    @pytest.mark.parametrize("case", [*range(20), *TIE_RICH])
+    def test_level_labels_in_first_appearance_order(self, case):
+        if case in TIE_RICH:
+            g = TIE_RICH[case]
+        else:
+            rng = np.random.default_rng(case)
+            g = random_graph(int(rng.integers(5, 120)), float(rng.uniform(0.01, 0.3)), seed=case)
+        for seed in range(3):
+            comm = community._one_level(g.indptr, g.indices, np.ones(len(g.indices)), np.zeros(g.n),
+                                        2.0 * g.m, np.random.default_rng(seed))
+            assert isinstance(comm, np.ndarray) and comm.dtype == np.int64 and comm.shape == (g.n,)
+            opened = 0   # each node that opens a community gets the next integer
+            for c in comm.tolist():
+                assert c <= opened
+                opened += c == opened
+            assert comm.max() + 1 == opened
 
 
 class TestIdenticalPartitions:

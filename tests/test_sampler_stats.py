@@ -1,69 +1,18 @@
-"""Statistical checks on the random-walk samplers, with fixed seeds.
+"""Statistical check on the Metropolis-Hastings walk, with a fixed seed.
 
-The frontier-sampling walker choice and the Metropolis-Hastings
-acceptance rule are verified against their analytic distributions using
-3-sigma bands over recorded telemetry.
+The walk's stationary distribution on a regular ring is verified
+against the uniform one using 3-sigma bands over per-node visit
+counts. The frontier-sampling walker choice and the MH acceptance rate
+on a star are checked by acceptance criterion 4.
 """
 
 import math
 
 import numpy as np
 
-from graphsample.graph import induced_subgraph, largest_connected_component
-from graphsample.samplers import SamplerConfig, _mh_propose, frontier_sample, hybrid_jump_sample
+from graphsample.samplers import _mh_propose
 
-from oracles import cycle, random_graph, star
-
-
-def connected_gnp(n, p, seed):
-    g = random_graph(n, p, seed)
-    return induced_subgraph(g, largest_connected_component(g))
-
-
-def collect_walker_draws(g, n_runs, phi):
-    draws = []
-    for seed in range(n_runs):
-        smp = frontier_sample(g, SamplerConfig("fs", phi=phi, seed=seed))
-        draws.extend(smp.telemetry.walker_draws)
-    return draws
-
-
-def test_frontier_walker_choice_matches_degree_weights():
-    # Each draw picks walker v with probability d_v / sum(d). The degree of
-    # the chosen walker then has known mean and variance per draw; the sum
-    # over all recorded draws must land within 3 sigma.
-    g = connected_gnp(100, 0.05, seed=12)
-    draws = collect_walker_draws(g, n_runs=200, phi=0.9)
-    assert len(draws) >= 10_000
-
-    observed = 0.0
-    expected = 0.0
-    variance = 0.0
-    for s1, s2, s3, chosen in draws:
-        observed += chosen
-        mu = s2 / s1
-        expected += mu
-        variance += s3 / s1 - mu * mu
-    assert abs(observed - expected) <= 3.0 * math.sqrt(variance)
-
-
-def test_hybrid_jump_acceptance_on_star():
-    # A walker at a leaf proposes the hub with acceptance min(1, 1/99).
-    g = star(100)
-    proposals = []
-    for seed in (0, 1):
-        smp = hybrid_jump_sample(g, SamplerConfig("hj", phi=1.0, seed=seed, hj_alpha=0.0))
-        proposals.extend(smp.telemetry.proposals)
-    leaf = [(dw, acc) for dv, dw, acc in proposals if dv == 1]
-    n = len(leaf)
-    assert n >= 10_000
-    assert all(dw == 99 for dw, _ in leaf)
-    accepted = sum(1 for _, acc in leaf if acc)
-    p = 1.0 / 99.0
-    assert abs(accepted - n * p) <= 3.0 * math.sqrt(n * p * (1 - p))
-    # proposals from the hub are always accepted (ratio 99 >= 1)
-    hub = [(dw, acc) for dv, dw, acc in proposals if dv == 99]
-    assert hub and all(acc for _, acc in hub)
+from oracles import cycle
 
 
 def test_mh_walk_uniform_on_ring():

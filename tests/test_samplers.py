@@ -31,6 +31,7 @@ from oracles import (
     cycle,
     expansion_order_oracle,
     random_graph,
+    rank_degree_oracle,
     star,
     three_k10_chain,
 )
@@ -207,6 +208,36 @@ class TestRankDegree:
         smp = rank_degree_sample(g, SamplerConfig("rd", phi=0.5, seed=4, rd_seeds=1, rd_rho=1.0))
         assert smp.n_nodes == 5
         assert smp.telemetry.trims == 5
+
+    # sparse graphs leave isolated nodes and small components, so seed sets
+    # empty and RD restarts; listed fractions put phi * n and rho * count
+    # within float noise of an integer
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(4, 40), st.sampled_from([0.04, 0.1, 0.2, 0.4]), st.integers(0, 10**6),
+           st.integers(0, 2**32), st.sampled_from([0.1, 0.3, 0.7, 1.0]) | st.floats(0.05, 1.0),
+           st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0]) | st.floats(0.01, 1.0), st.integers(1, 12),
+           st.sampled_from(["induced", "collected"]))
+    def test_matches_definition_oracle(self, n, p, gseed, seed, phi, rho, seeds, mode):
+        g = random_graph(n, p, seed=gseed)
+        cfg = SamplerConfig("rd", phi=max(phi, 1 / n), seed=seed, finalize_mode=mode,
+                            rd_rho=rho, rd_seeds=min(seeds, n))
+        made = []
+
+        def recording_rng(*args, **kwargs):
+            made.append(real_rng(*args, **kwargs))
+            return made[-1]
+
+        real_rng = np.random.default_rng
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "default_rng", recording_rng)
+            smp = rank_degree_sample(g, cfg)
+        want = rank_degree_oracle(g, cfg)
+        t = smp.telemetry
+        assert smp.nodes.tolist() == want["nodes"]
+        assert [tuple(e) for e in smp.edges.tolist()] == want["edges"]
+        assert (t.events, t.steps, t.restarts, t.trims) == (
+            want["events"], want["steps"], want["restarts"], want["trims"])
+        assert len(made) == 1 and made[0].bit_generator.state == want["state"]
 
 
 class TestListSampling:
