@@ -221,13 +221,12 @@ class TestRankDegree:
         g = random_graph(n, p, seed=gseed)
         cfg = SamplerConfig("rd", phi=max(phi, 1 / n), seed=seed, finalize_mode=mode,
                             rd_rho=rho, rd_seeds=min(seeds, n))
-        made = []
+        made, real_rng = [], np.random.default_rng
 
         def recording_rng(*args, **kwargs):
             made.append(real_rng(*args, **kwargs))
             return made[-1]
 
-        real_rng = np.random.default_rng
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.random, "default_rng", recording_rng)
             smp = rank_degree_sample(g, cfg)
