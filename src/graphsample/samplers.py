@@ -114,10 +114,6 @@ class Telemetry:
     params: dict = field(default_factory=dict)
     visit_order: list[int] = field(default_factory=list)
     events: list[tuple] = field(default_factory=list)
-    # HJ proposals: (deg_current, deg_proposed, accepted)
-    proposals: list[tuple[int, int, bool]] = field(default_factory=list)
-    # FS walker draws: (sum_d, sum_d2, sum_d3, chosen_d)
-    walker_draws: list[tuple[int, int, int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -323,12 +319,7 @@ def frontier_sample(g: Graph, cfg: SamplerConfig) -> Sample:
     while not run.full():
         i = _walker_draw(wdeg, rng)
         v = int(walkers[i])
-        d = int(degs[v])
-        if cfg.record_steps:
-            di = degs[walkers].astype(np.int64)
-            run.tel.walker_draws.append(
-                (int(di.sum()), int((di ** 2).sum()), int((di ** 3).sum()), d))
-        w = int(g.neighbors(v)[rng.integers(d)])
+        w = int(g.neighbors(v)[rng.integers(degs[v])])
         new = run.visit(v) | run.edge(v, w)
         walkers[i] = w
         wdeg[i] = float(degs[w])
@@ -568,8 +559,6 @@ def hybrid_jump_sample(g: Graph, cfg: SamplerConfig) -> Sample:
             v = run.restart(positive_degree=True)
             continue
         w, accepted = _mh_propose(g, degs, v, rng)
-        if cfg.record_steps:
-            run.tel.proposals.append((int(degs[v]), int(degs[w]), accepted))
         new = False
         if accepted:
             new = run.edge(v, w)

@@ -10,8 +10,13 @@ generator, kept as the reference for the implicit-lattice one.
 ``forest_fire_oracle`` and ``mixed_model_oracle`` are the earlier
 generators that call ``np.random.Generator`` once per draw, kept as the
 reference for the ones that decode raw PCG64 words.
-``rank_degree_oracle`` is rank degree sampling written from its
-definition, drawing from its Generator exactly as the sampler does.
+``rank_degree_oracle``, ``frontier_oracle``, ``list_oracle`` and
+``hybrid_jump_oracle`` are the RD, FS, LS and HJ samplers written from
+their definitions, each making its sampler's Generator calls in the same
+order, so ``check_against_oracle`` can assert the outputs equal. They
+share one trim and edge-set step, ``_oracle_result``. The FS and HJ
+oracles also return their per-step walker draws and proposals, from
+which acceptance criterion 4 takes its statistics.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import math
 from collections import deque
 
 import numpy as np
+import pytest
 
 from graphsample.community import modularity
 from graphsample.graph import Graph, build_graph
@@ -347,6 +353,78 @@ def _noisy_ceil(x: float) -> int:
     return math.ceil(x)
 
 
+def _budget(cfg, n: int) -> int:
+    """ceil(phi * n) by ``_noisy_ceil``, at most n."""
+    return min(_noisy_ceil(cfg.phi * n), n)
+
+
+_COUNTERS = ("steps", "restarts", "teleports", "jumps", "trims")
+
+
+def _neighbour_lists(g: Graph) -> list[list[int]]:
+    """Each node's neighbours in ascending id order, from the edge list."""
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+    for a, b in g.edge_array().tolist():
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return [sorted(s) for s in nbrs]
+
+
+def _uniform_unsampled(rng: np.random.Generator, nbrs: list[list[int]], sampled,
+                       positive_degree: bool = False) -> int:
+    """One ``rng.integers`` over the unsampled ids in ascending order; with
+    ``positive_degree``, over those with a neighbour, if any are left."""
+    pool = [v for v in range(len(nbrs)) if v not in sampled]
+    if positive_degree and any(nbrs[v] for v in pool):
+        pool = [v for v in pool if nbrs[v]]
+    return pool[int(rng.integers(len(pool)))]
+
+
+def _oracle_result(nbrs: list[list[int]], cfg, rng: np.random.Generator, order: list[int],
+                   pairs: list[tuple[int, int]], events: list[tuple], **counters) -> dict:
+    """What every sampler oracle returns, from its visit order and traversal pairs.
+
+    The visits past ceil(phi * n) are trimmed from the end. ``induced``
+    takes every edge among the kept nodes, ``collected`` the traversal
+    pairs among them, each once as (min, max). Counters not given are 0.
+    """
+    kept = set(order[:_budget(cfg, len(nbrs))])
+    if cfg.finalize_mode == "induced":
+        edges = {(a, b) for a in kept for b in nbrs[a] if a < b and b in kept}
+    else:
+        edges = {(min(a, b), max(a, b)) for a, b in pairs if a in kept and b in kept}
+    return {"nodes": sorted(kept), "edges": sorted(edges), "order": order, "events": events,
+            **dict.fromkeys(_COUNTERS, 0), **counters, "trims": len(order) - len(kept),
+            "state": rng.bit_generator.state}
+
+
+def check_against_oracle(sampler, oracle, g: Graph, cfg) -> dict:
+    """Run ``sampler`` and ``oracle`` on (g, cfg), assert that they agree, and return the oracle's result.
+
+    Compared: the nodes, the edges, the visit order, the step log, the
+    counters and the final ``bit_generator.state`` of the one Generator the
+    sampler makes, captured by wrapping ``np.random.default_rng``.
+    """
+    made, real_rng = [], np.random.default_rng
+
+    def recording_rng(*args, **kwargs):
+        made.append(real_rng(*args, **kwargs))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", recording_rng)
+        smp = sampler(g, cfg)
+    assert len(made) == 1, f"{sampler.__name__} made {len(made)} Generators"
+    t = smp.telemetry
+    got = {"nodes": smp.nodes.tolist(), "edges": [tuple(e) for e in smp.edges.tolist()],
+           "order": t.visit_order, "events": t.events,
+           **{k: getattr(t, k) for k in _COUNTERS}, "state": made[0].bit_generator.state}
+    want = oracle(g, cfg)
+    differ = [k for k in got if got[k] != want[k]]
+    assert not differ, f"{sampler.__name__} and {oracle.__name__} differ on {differ} for {cfg}"
+    return want
+
+
 def rank_degree_oracle(g: Graph, cfg) -> dict:
     """RD sample from the definition (Voudigari et al., ASONAM 2016), on sets and lists.
 
@@ -355,17 +433,14 @@ def rank_degree_oracle(g: Graph, cfg) -> dict:
     leaves the seed set, else its unsampled neighbours are ranked by
     degree, then smaller id, and the top max(1, ceil(rho * count)) are
     sampled through their edges to u and become the seed set. An empty
-    seed set restarts from a uniform unsampled node. The visits past
-    ceil(phi * n) are trimmed from the end. Returns the nodes, the edges
-    of the finalize mode, the step log, the counters and the final
+    seed set restarts from a uniform unsampled node. Returns
+    ``_oracle_result``: the nodes, the edges of the finalize mode, the
+    visit order, the step log, the counters and the final
     ``bit_generator.state``, all drawn by the sampler's Generator calls.
     """
     rng = np.random.default_rng(cfg.seed)
-    nbrs = [set() for _ in range(g.n)]
-    for a, b in g.edge_array().tolist():
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    budget = min(_noisy_ceil(cfg.phi * g.n), g.n)
+    nbrs = _neighbour_lists(g)
+    budget = _budget(cfg, g.n)
     order: list[int] = []
     events: list[tuple] = []
     pairs: list[tuple[int, int]] = []
@@ -376,8 +451,7 @@ def rank_degree_oracle(g: Graph, cfg) -> dict:
         events.append(("visit", v))
     while len(order) < budget:
         if not seed_set:
-            pool = [v for v in range(g.n) if v not in order]
-            v = pool[int(rng.integers(len(pool)))]
+            v = _uniform_unsampled(rng, nbrs, order)
             order.append(v)
             events.append(("visit", v))
             restarts += 1
@@ -396,13 +470,194 @@ def rank_degree_oracle(g: Graph, cfg) -> dict:
             pairs.append((u, w))
         steps += 1
         seed_set = top
-    kept = set(order[:budget])
-    if cfg.finalize_mode == "induced":
-        edges = [(a, b) for a in kept for b in nbrs[a] if a < b and b in kept]
-    else:
-        edges = [(min(a, b), max(a, b)) for a, b in pairs if a in kept and b in kept]
-    return {"nodes": sorted(kept), "edges": sorted(set(edges)), "events": events, "steps": steps,
-            "restarts": restarts, "trims": len(order) - len(kept), "state": rng.bit_generator.state}
+    return _oracle_result(nbrs, cfg, rng, order, pairs, events, steps=steps, restarts=restarts)
+
+
+def frontier_oracle(g: Graph, cfg) -> dict:
+    """FS sample from the definition (Ribeiro and Towsley, IMC 2010), on sets and lists.
+
+    ``fs_walkers`` walkers stand on distinct uniform nodes of positive
+    degree, not yet sampled. Each step draws a walker with probability
+    proportional to its node's degree (``Generator.choice`` with ``p``),
+    samples its node v and a uniform neighbour w through the edge (v, w),
+    and moves the walker to w. After ``fs_stall_limit`` steps in a row
+    without a new node, a uniform unsampled node of positive degree
+    replaces a uniform walker; once every unsampled node is isolated, one
+    of them is sampled instead and the stall goes on. Returns
+    ``_oracle_result`` plus ``walker_draws``: each step's walker degrees
+    and the index drawn.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    nbrs = _neighbour_lists(g)
+    budget = _budget(cfg, g.n)
+    eligible = [v for v in range(g.n) if nbrs[v]]
+    if len(eligible) < cfg.fs_walkers:
+        raise ValueError("fewer positive-degree nodes than walkers")
+    walkers = [eligible[i] for i in rng.choice(len(eligible), cfg.fs_walkers, replace=False)]
+    events: list[tuple] = [("seed", v) for v in walkers]
+    order: list[int] = []
+    sampled: set[int] = set()
+    pairs: list[tuple[int, int]] = []
+    draws: list[tuple[list[int], int]] = []
+    steps = restarts = teleports = stall = 0
+    while len(order) < budget:
+        wdeg = [len(nbrs[v]) for v in walkers]
+        i = int(rng.choice(len(walkers), p=np.array(wdeg) / sum(wdeg)))
+        draws.append((wdeg, i))
+        v = walkers[i]
+        w = nbrs[v][int(rng.integers(len(nbrs[v])))]
+        new = False
+        for x in (v, w):
+            if x not in sampled:
+                order.append(x)
+                sampled.add(x)
+                new = True
+        pairs.append((v, w))
+        events.append(("edge", v, w))
+        walkers[i] = w
+        steps += 1
+        stall = 0 if new else stall + 1
+        if stall >= cfg.fs_stall_limit:
+            u = _uniform_unsampled(rng, nbrs, sampled, positive_degree=True)
+            if not nbrs[u]:
+                order.append(u)
+                sampled.add(u)
+                events.append(("visit", u))
+                restarts += 1
+                continue
+            walkers[int(rng.integers(len(walkers)))] = u
+            events.append(("seed", u))
+            teleports += 1
+            stall = 0
+    return _oracle_result(nbrs, cfg, rng, order, pairs, events, steps=steps, restarts=restarts,
+                          teleports=teleports) | {"walker_draws": draws}
+
+
+def list_oracle(g: Graph, cfg) -> dict:
+    """LS sample from the definition, on sets and lists.
+
+    The walk starts at a uniform node. The candidate list holds each
+    unsampled neighbour of the sampled nodes once, appended as found
+    (each newly sampled node's neighbours in ascending id order). Each
+    step takes one candidate: under ``uniform`` a uniform entry, swapped
+    with the last entry and popped; under ``max_degree`` the one of
+    largest degree, then smallest id. It is sampled through the edge from
+    its smallest sampled neighbour. An empty list restarts from a uniform
+    unsampled node. Returns ``_oracle_result``.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    nbrs = _neighbour_lists(g)
+    budget = _budget(cfg, g.n)
+    order: list[int] = []
+    sampled: set[int] = set()
+    cand: list[int] = []
+    events: list[tuple] = []
+    pairs: list[tuple[int, int]] = []
+    steps = restarts = 0
+
+    def take(v: int) -> None:
+        order.append(v)
+        sampled.add(v)
+        cand.extend(w for w in nbrs[v] if w not in sampled and w not in cand)
+
+    v = _uniform_unsampled(rng, nbrs, sampled)
+    events.append(("visit", v))
+    take(v)
+    while len(order) < budget:
+        if not cand:
+            v = _uniform_unsampled(rng, nbrs, sampled)
+            events.append(("visit", v))
+            restarts += 1
+            take(v)
+            continue
+        if cfg.ls_rule == "max_degree":
+            v = min(cand, key=lambda w: (-len(nbrs[w]), w))
+            cand.remove(v)
+        else:
+            i = int(rng.integers(len(cand)))
+            cand[i], cand[-1] = cand[-1], cand[i]
+            v = cand.pop()
+        u = min(w for w in nbrs[v] if w in sampled)
+        pairs.append((u, v))
+        events.append(("edge", u, v))
+        steps += 1
+        take(v)
+    return _oracle_result(nbrs, cfg, rng, order, pairs, events, steps=steps, restarts=restarts)
+
+
+def hybrid_jump_oracle(g: Graph, cfg) -> dict:
+    """HJ sample from the definition, on sets and lists.
+
+    The mean degree of ``hj_probes`` uniform draws (at most n, with
+    replacement) estimates the average degree d, and the jump probability
+    is ``hj_alpha``, or else min(1, 1/d). The walk starts at a uniform
+    node. Each step proposes a uniform neighbour w of the current node v
+    and accepts it with probability min(1, d_v / d_w), sampling w through
+    (v, w) and moving there. Then, unless the budget is met, the walk
+    jumps with the jump probability to a uniform node within
+    ``hj_bfs_depth`` hops of v, other than v, and samples it. After
+    ``hj_stall_limit`` steps in a row without a new node it restarts from
+    a uniform unsampled node; on an isolated node, from a uniform
+    unsampled node of positive degree. Returns ``_oracle_result`` plus
+    ``proposals``: each step's (d_v, d_w, accepted).
+    """
+    rng = np.random.default_rng(cfg.seed)
+    nbrs = _neighbour_lists(g)
+    deg = [len(s) for s in nbrs]
+    budget = _budget(cfg, g.n)
+    probes = rng.integers(0, g.n, size=min(cfg.hj_probes, g.n)).tolist()
+    dhat = sum(deg[p] for p in probes) / len(probes)
+    alpha = cfg.hj_alpha if cfg.hj_alpha is not None else min(1.0, 1.0 / max(dhat, 1e-12))
+    v = int(rng.integers(g.n))
+    order, sampled = [v], {v}
+    events: list[tuple] = [("visit", v)]
+    pairs: list[tuple[int, int]] = []
+    proposals: list[tuple[int, int, bool]] = []
+    steps = restarts = jumps = stall = 0
+
+    def take(x: int) -> bool:
+        if x in sampled:
+            return False
+        order.append(x)
+        sampled.add(x)
+        return True
+
+    while len(order) < budget:
+        if not nbrs[v]:
+            v = _uniform_unsampled(rng, nbrs, sampled, positive_degree=True)
+            take(v)
+            events.append(("visit", v))
+            restarts += 1
+            continue
+        w = nbrs[v][int(rng.integers(deg[v]))]
+        accepted = bool(rng.random() < deg[v] / deg[w])
+        proposals.append((deg[v], deg[w], accepted))
+        new = False
+        if accepted:
+            new = take(w)
+            pairs.append((v, w))
+            events.append(("edge", v, w))
+            v = w
+        steps += 1
+        if len(order) < budget and rng.random() < alpha:
+            ball = {v}
+            for _ in range(cfg.hj_bfs_depth):
+                ball |= {x for y in ball for x in nbrs[y]}
+            ball.discard(v)
+            t = sorted(ball)[int(rng.integers(len(ball)))]
+            jumps += 1
+            events.append(("jump", v, t))
+            new |= take(t)
+            v = t
+        stall = 0 if new else stall + 1
+        if stall >= cfg.hj_stall_limit:
+            v = _uniform_unsampled(rng, nbrs, sampled)
+            take(v)
+            events.append(("visit", v))
+            restarts += 1
+            stall = 0
+    return _oracle_result(nbrs, cfg, rng, order, pairs, events, steps=steps, restarts=restarts,
+                          jumps=jumps) | {"proposals": proposals}
 
 
 def jsd_oracle(p: dict, q: dict, base: float = 2.0) -> float:

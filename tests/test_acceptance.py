@@ -37,8 +37,11 @@ from conftest import data_dir
 from oracles import (
     assortativity_oracle,
     average_path_length_oracle,
+    check_against_oracle,
     degree_histogram_oracle,
+    frontier_oracle,
     global_clustering_oracle,
+    hybrid_jump_oracle,
     jsd_oracle,
     local_clustering_oracle,
     random_graph,
@@ -198,24 +201,26 @@ def test_criterion_4_walk_statistics():
         from graphsample.graph import induced_subgraph, largest_connected_component
         from graphsample.samplers import SamplerConfig, frontier_sample, hybrid_jump_sample
 
+        # the per-step records come from oracles asserted equal to each run
         base = random_graph(100, 0.05, seed=12)
         g = induced_subgraph(base, largest_connected_component(base))
         draws = []
         for seed in range(200):
-            smp = frontier_sample(g, SamplerConfig("fs", phi=0.9, seed=seed))
-            draws.extend(smp.telemetry.walker_draws)
+            cfg = SamplerConfig("fs", phi=0.9, seed=seed)
+            draws.extend(check_against_oracle(frontier_sample, frontier_oracle, g, cfg)["walker_draws"])
         assert len(draws) >= 10_000
-        observed = sum(d for _, _, _, d in draws)
-        expected = sum(s2 / s1 for s1, s2, _, _ in draws)
-        variance = sum(s3 / s1 - (s2 / s1) ** 2 for s1, s2, s3, _ in draws)
+        observed = sum(wdeg[i] for wdeg, i in draws)
+        moments = [[sum(d ** k for d in wdeg) for k in (1, 2, 3)] for wdeg, _ in draws]
+        expected = sum(s2 / s1 for s1, s2, _ in moments)
+        variance = sum(s3 / s1 - (s2 / s1) ** 2 for s1, s2, s3 in moments)
         z_gap = abs(observed - expected)
         assert z_gap <= 3.0 * math.sqrt(variance)
 
         g2 = star(100)
         proposals = []
         for seed in (0, 1):
-            smp = hybrid_jump_sample(g2, SamplerConfig("hj", phi=1.0, seed=seed, hj_alpha=0.0))
-            proposals.extend(smp.telemetry.proposals)
+            cfg = SamplerConfig("hj", phi=1.0, seed=seed, hj_alpha=0.0)
+            proposals.extend(check_against_oracle(hybrid_jump_sample, hybrid_jump_oracle, g2, cfg)["proposals"])
         leaf = [(dw, acc) for dv, dw, acc in proposals if dv == 1]
         n = len(leaf)
         assert n >= 10_000

@@ -27,9 +27,13 @@ from graphsample.samplers import (
 
 from oracles import (
     barbell_two_k5,
+    check_against_oracle,
     complete_graph,
     cycle,
     expansion_order_oracle,
+    frontier_oracle,
+    hybrid_jump_oracle,
+    list_oracle,
     random_graph,
     rank_degree_oracle,
     star,
@@ -47,6 +51,13 @@ class FixedUniform(np.random.Generator):
     def random(self, size=None, dtype=np.float64, out=None):
         return self.u if size is None else np.full(size, self.u)
 
+
+# sparse graphs leave isolated nodes and small components, so samplers
+# restart; listed fractions put phi * n within float noise of an integer
+ORACLE_GRAPHS = st.builds(random_graph, st.integers(4, 40), st.sampled_from([0.04, 0.1, 0.2, 0.4]),
+                          st.integers(0, 10**6))
+PHIS = st.sampled_from([0.1, 0.3, 0.7, 1.0]) | st.floats(0.05, 1.0)
+MODES = st.sampled_from(["induced", "collected"])
 
 DEGREES = st.lists(st.integers(1, 10**6) | st.integers(2**40 - 100, 2**40 + 100), min_size=1, max_size=64)
 
@@ -91,6 +102,14 @@ class TestFrontierSampling:
     def test_walker_count_capped_by_n(self):
         with pytest.raises(ValueError):
             frontier_sample(complete_graph(4), SamplerConfig("fs", phi=0.5, fs_walkers=10))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ORACLE_GRAPHS, st.integers(0, 2**32), PHIS, MODES, st.integers(1, 12),
+           st.sampled_from([1, 2, 5, 1000]))
+    def test_matches_definition_oracle(self, g, seed, phi, mode, walkers, stall):
+        cfg = SamplerConfig("fs", phi=max(phi, 1 / g.n), seed=seed, finalize_mode=mode,
+                            fs_walkers=min(walkers, int((g.degrees() > 0).sum())), fs_stall_limit=stall)
+        check_against_oracle(frontier_sample, frontier_oracle, g, cfg)
 
     @settings(max_examples=400, deadline=None)
     @given(DEGREES, st.integers(0, 2**63 - 1))
@@ -209,34 +228,15 @@ class TestRankDegree:
         assert smp.n_nodes == 5
         assert smp.telemetry.trims == 5
 
-    # sparse graphs leave isolated nodes and small components, so seed sets
-    # empty and RD restarts; listed fractions put phi * n and rho * count
-    # within float noise of an integer
+    # seed sets empty on sparse graphs, so RD restarts; listed fractions
+    # put rho * count within float noise of an integer
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(4, 40), st.sampled_from([0.04, 0.1, 0.2, 0.4]), st.integers(0, 10**6),
-           st.integers(0, 2**32), st.sampled_from([0.1, 0.3, 0.7, 1.0]) | st.floats(0.05, 1.0),
-           st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0]) | st.floats(0.01, 1.0), st.integers(1, 12),
-           st.sampled_from(["induced", "collected"]))
-    def test_matches_definition_oracle(self, n, p, gseed, seed, phi, rho, seeds, mode):
-        g = random_graph(n, p, seed=gseed)
-        cfg = SamplerConfig("rd", phi=max(phi, 1 / n), seed=seed, finalize_mode=mode,
-                            rd_rho=rho, rd_seeds=min(seeds, n))
-        made, real_rng = [], np.random.default_rng
-
-        def recording_rng(*args, **kwargs):
-            made.append(real_rng(*args, **kwargs))
-            return made[-1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.random, "default_rng", recording_rng)
-            smp = rank_degree_sample(g, cfg)
-        want = rank_degree_oracle(g, cfg)
-        t = smp.telemetry
-        assert smp.nodes.tolist() == want["nodes"]
-        assert [tuple(e) for e in smp.edges.tolist()] == want["edges"]
-        assert (t.events, t.steps, t.restarts, t.trims) == (
-            want["events"], want["steps"], want["restarts"], want["trims"])
-        assert len(made) == 1 and made[0].bit_generator.state == want["state"]
+    @given(ORACLE_GRAPHS, st.integers(0, 2**32), PHIS,
+           st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0]) | st.floats(0.01, 1.0), st.integers(1, 12), MODES)
+    def test_matches_definition_oracle(self, g, seed, phi, rho, seeds, mode):
+        cfg = SamplerConfig("rd", phi=max(phi, 1 / g.n), seed=seed, finalize_mode=mode,
+                            rd_rho=rho, rd_seeds=min(seeds, g.n))
+        check_against_oracle(rank_degree_sample, rank_degree_oracle, g, cfg)
 
 
 class TestListSampling:
@@ -284,12 +284,19 @@ class TestListSampling:
         assert a.n_edges == a.n_nodes - 1 - a.telemetry.restarts
         replay_check(g, a)
 
+    @settings(max_examples=300, deadline=None)
+    @given(ORACLE_GRAPHS, st.integers(0, 2**32), PHIS, MODES, st.sampled_from(["uniform", "max_degree"]))
+    def test_matches_definition_oracle(self, g, seed, phi, mode, rule):
+        cfg = SamplerConfig("ls", phi=max(phi, 1 / g.n), seed=seed, finalize_mode=mode, ls_rule=rule)
+        check_against_oracle(list_sample, list_oracle, g, cfg)
+
 
 class TestHybridJump:
     def test_regular_ring_accepts_everything(self):
-        smp = hybrid_jump_sample(cycle(20), SamplerConfig("hj", phi=0.5, seed=1))
-        assert smp.telemetry.proposals
-        assert all(acc for _, _, acc in smp.telemetry.proposals)
+        # each step is one proposal, and an accepted one logs an edge
+        t = hybrid_jump_sample(cycle(20), SamplerConfig("hj", phi=0.5, seed=1)).telemetry
+        assert t.steps > 0
+        assert t.steps == sum(ev[0] == "edge" for ev in t.events)
 
     def test_jump_targets_within_depth(self):
         g = random_graph(60, 0.08, seed=4)
@@ -300,6 +307,15 @@ class TestHybridJump:
     def test_alpha_zero_never_jumps(self):
         smp = hybrid_jump_sample(cycle(30), SamplerConfig("hj", phi=0.5, seed=3, hj_alpha=0.0))
         assert smp.telemetry.jumps == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(ORACLE_GRAPHS, st.integers(0, 2**32), PHIS, MODES,
+           st.sampled_from([None, 0.0, 0.3, 1.0]) | st.floats(0.0, 1.0), st.integers(1, 3),
+           st.integers(1, 50), st.sampled_from([1, 2, 5, 1000]))
+    def test_matches_definition_oracle(self, g, seed, phi, mode, alpha, depth, probes, stall):
+        cfg = SamplerConfig("hj", phi=max(phi, 1 / g.n), seed=seed, finalize_mode=mode, hj_alpha=alpha,
+                            hj_bfs_depth=depth, hj_probes=probes, hj_stall_limit=stall)
+        check_against_oracle(hybrid_jump_sample, hybrid_jump_oracle, g, cfg)
 
 
 class TestFinalize:
