@@ -36,6 +36,15 @@ __all__ = [
 
 COMMENT_PREFIXES = ("#", "%")
 DUMP_CHUNK = 1 << 14    # edges per write in dump_edge_list; only these become Python ints
+LOAD_FIRST_BLOCK = 1 << 8   # characters in load_edge_list's first read; each next read doubles
+LOAD_BLOCK = 1 << 16        # ... up to this many
+
+# byte -> kind for _plain_ids: 0 digit, 1 space or tab, 2 line end, 3 any other
+_BYTE_KIND = np.full(256, 3, dtype=np.uint8)
+_BYTE_KIND[ord("0"):ord("9") + 1] = 0
+_BYTE_KIND[[ord(" "), ord("\t")]] = 1
+_BYTE_KIND[ord("\n")] = 2
+_PLAIN_LINE = np.array([0, 1, 0, 2], dtype=np.uint8)   # the kinds of one plain line's runs
 
 
 class EdgeListParseError(ValueError):
@@ -208,32 +217,23 @@ def build_graph(
     return Graph(indptr=indptr, indices=indices, orig_ids=orig_ids)
 
 
-def load_edge_list(source: str | Path | TextIO) -> Graph:
-    """Load and normalize an undirected simple graph from an edge list.
+def _parse_lines(text: str, lineno: int) -> tuple[np.ndarray, int, int]:
+    """(ids, last line number, lines skipped) of ``text`` by one Python pass per line.
 
-    ``source`` is a file path or an open text stream; a path is opened
-    and closed here, a stream is read to its end and left open. One edge
-    per line, two integer ids separated by whitespace (extra columns such
-    as weights or timestamps are ignored); blank lines and lines starting
-    with ``#`` or ``%`` are skipped. Both rules are fixed, and cover SNAP
-    and KONECT files. Direction is discarded, self-loops and duplicates
-    dropped, and ids remapped to a dense [0, n) range; the remap is kept
-    in ``Graph.orig_ids`` and the drop counts in ``Graph.load_stats``.
-    Ids must lie in the int64 range [-2**63, 2**63 - 1]; any other id
-    raises ``EdgeListParseError`` naming its line.
+    The only parse that raises ``EdgeListParseError``; ``lineno`` is the
+    number of the line before ``text``.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return load_edge_list(fh)
-
     ids = array("q")    # both endpoints of each line; no Python object per edge
-    lineno = lines_skipped = 0
-    for lineno, line in enumerate(source, start=1):
+    lines = text.split("\n")
+    if not lines[-1]:   # text ends at a line end; only the stream's last line may not
+        lines.pop()
+    skipped = 0
+    for lineno, line in enumerate(lines, start=lineno + 1):
         # split() and strip() share one whitespace rule, so an empty split
         # is a blank line and the first field starts the stripped line
         parts = line.split()
         if not parts or parts[0].startswith(COMMENT_PREFIXES):
-            lines_skipped += 1
+            skipped += 1
             continue
         if len(parts) < 2:
             raise EdgeListParseError(lineno, f"expected 'u v', got {line.strip()!r}")
@@ -244,24 +244,97 @@ def load_edge_list(source: str | Path | TextIO) -> Graph:
             raise EdgeListParseError(lineno, f"non-integer node id in {line.strip()!r}") from None
         except OverflowError:
             raise EdgeListParseError(lineno, f"node id outside int64 in {line.strip()!r}") from None
+    return np.frombuffer(ids, dtype=np.int64), lineno, skipped
 
-    if not ids:
+
+def _plain_ids(text: str) -> np.ndarray | None:
+    """Both ids of every line of ``text`` when each line is plain, else None.
+
+    A plain line is ``digits blanks digits\\n``: ASCII decimal ids of at
+    most 18 digits (below 2**63, where ``np.fromstring`` would saturate)
+    separated by spaces and tabs. On such text ``np.fromstring`` equals
+    ``int()`` per field, so it never sees any other text.
+    """
+    if not text.isascii():
+        return None
+    kind = _BYTE_KIND[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    start = np.flatnonzero(kind[1:] != kind[:-1]) + 1
+    start = np.concatenate(([0], start))    # where each run of one kind begins
+    # one run group per line end; since newline runs are never empty, that
+    # makes each of them a single "\n", so no line is blank
+    if len(start) != 4 * text.count("\n"):
+        return None
+    if not (kind[start].reshape(-1, 4) == _PLAIN_LINE).all():
+        return None
+    width = np.diff(start, append=len(kind)).reshape(-1, 4)
+    if width[:, [0, 2]].max() > 18:
+        return None
+    return np.fromstring(text, dtype=np.int64, sep=" ")
+
+
+def load_edge_list(source: str | Path | TextIO) -> Graph:
+    """Load and normalize an undirected simple graph from an edge list.
+
+    ``source`` is a file path or an open text stream; a path is opened
+    and closed here, a stream is read to its end and left open. Lines end
+    at ``\\n`` as the stream's ``read()`` returns them (a path is opened
+    with universal newlines, so ``\\r\\n`` and ``\\r`` end lines there too).
+    One edge per line, two integer ids separated by whitespace (extra
+    columns such as weights or timestamps are ignored); blank lines and
+    lines starting with ``#`` or ``%`` are skipped. Both rules are fixed,
+    and cover SNAP and KONECT files. Direction is discarded, self-loops
+    and duplicates dropped, and ids remapped to a dense [0, n) range; the
+    remap is kept in ``Graph.orig_ids`` and the drop counts in
+    ``Graph.load_stats``. Ids must lie in the int64 range
+    [-2**63, 2**63 - 1]; any other id raises ``EdgeListParseError``
+    naming its line.
+
+    The text is read in blocks of whole lines. A block of plain lines
+    (see ``_plain_ids``) is parsed by one numpy call, any other by a
+    Python pass per line; both give the same ids.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            return load_edge_list(fh)
+
+    blocks = []
+    lineno = lines_skipped = 0
+    size = LOAD_FIRST_BLOCK     # small at first, so a header sends few lines down the slow pass
+    while text := source.read(size):
+        if not text.endswith("\n"):
+            text += source.readline()
+        size = min(2 * size, LOAD_BLOCK)
+        ids = _plain_ids(text)
+        if ids is None:
+            ids, lineno, skipped = _parse_lines(text, lineno)
+            lines_skipped += skipped
+        else:
+            lineno += len(ids) // 2
+        blocks.append(ids)
+
+    if not any(len(ids) for ids in blocks):
         raise ValueError("empty edge list: no edges found")
-
-    pairs = np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
+    pairs = np.concatenate(blocks).reshape(-1, 2)
+    del blocks      # one copy of the ids from here on
     loops = pairs[:, 0] == pairs[:, 1]
-    edges = pairs[~loops]
+    self_loops = int(np.count_nonzero(loops))
+    edges = pairs[~loops] if self_loops else pairs
     if len(edges) == 0:
         raise ValueError("empty edge list: all edges were self-loops")
     orig_ids = _sorted_unique(edges)
-    g = build_graph(*np.searchsorted(orig_ids, edges).T, n=len(orig_ids))
+    n = len(orig_ids)
+    if not (orig_ids[0] == 0 and orig_ids[-1] == n - 1):
+        # else the ids are 0..n-1 and remap to themselves, as in every dumped file
+        edges = np.searchsorted(orig_ids, edges)
+    g = build_graph(edges[:, 0], edges[:, 1], n=n)
     stats = LoadStats(
         lines_total=lineno,
         lines_skipped=lines_skipped,
         edges_raw=len(pairs),
-        self_loops_dropped=int(loops.sum()),
+        self_loops_dropped=self_loops,
         duplicates_dropped=len(edges) - g.m,
-        isolated_dropped=len(np.setdiff1d(pairs[loops, 0], orig_ids)),
+        # setdiff1d hashes all of orig_ids even when it has nothing to remove
+        isolated_dropped=len(np.setdiff1d(pairs[loops, 0], orig_ids)) if self_loops else 0,
     )
     return Graph(g.indptr, g.indices, orig_ids, load_stats=stats)
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphsample import graph
+from graphsample.generators import GeneratorConfig, generate
 from graphsample.graph import (
     DUMP_CHUNK,
     EdgeListParseError,
@@ -135,6 +137,72 @@ class TestLoader:
         assert g2.orig_ids.tolist() == list(range(g.n))  # identity remap
         dump_edge_list(g2, p2)
         assert p2.read_bytes() == p.read_bytes()
+
+
+SMALL_ID = st.integers(0, 40)
+PLAIN_LINE = st.tuples(SMALL_ID, st.sampled_from([" ", "\t", "  ", " \t"]), SMALL_ID).map(
+    lambda t: f"{t[0]}{t[1]}{t[2]}")
+# every kind of line the per-line pass handles, valid or not
+OTHER_LINE = st.one_of(
+    st.sampled_from(["# comment 1 2", "% konect", "  # indented", "", "1 2 3.5 99", "4\t5\t0.5",
+                     "6 7\r", "+8 9", "-1 3", "3 -10", "x y", "7", "1 2\x85", "\u30001 2"]),
+    WHITESPACE,
+    st.tuples(SMALL_ID, WHITESPACE, SMALL_ID, WHITESPACE).map(lambda t: f"{t[0]} {t[1]}{t[2]}{t[3]}"),
+    # 18-digit ids are plain; 19 digits may overflow int64, 20 always do unless zero-padded
+    st.tuples(st.integers(10**17, 10**18 - 1), SMALL_ID).map(lambda t: f"{t[0]} {t[1]}"),
+    st.tuples(SMALL_ID, st.integers(10**18, 10**19 - 1)).map(lambda t: f"{t[0]} {t[1]}"),
+    st.tuples(st.integers(10**19, 10**20 - 1), SMALL_ID).map(lambda t: f"{t[0]} {t[1]}"),
+    SMALL_ID.map(lambda a: f"{a:020d} {a + 1:019d}"),
+)
+
+
+def load_outcome(text):
+    """Everything a load of ``text`` yields: its arrays and stats, or its error."""
+    try:
+        g = load_text(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return g.indptr.tolist(), g.indices.tolist(), g.orig_ids.tolist(), g.load_stats
+
+
+class TestBlockParse:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(PLAIN_LINE, PLAIN_LINE, PLAIN_LINE, OTHER_LINE), max_size=60),
+           st.booleans(), st.integers(1, 16), st.integers(1, 4))
+    def test_blocks_equal_the_per_line_pass(self, lines, final_newline, first, doublings):
+        text = "\n".join(lines) + ("\n" if final_newline else "")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_plain_ids", lambda text: None)
+            expected = load_outcome(text)
+        with pytest.MonkeyPatch.context() as mp:
+            # small reads put block edges between any two lines
+            mp.setattr(graph, "LOAD_FIRST_BLOCK", first)
+            mp.setattr(graph, "LOAD_BLOCK", first << doublings)
+            assert load_outcome(text) == expected
+
+    @pytest.mark.parametrize("bad", ["1 x", "7", "1.5 2", f"{2**63} 1"])
+    def test_malformed_line_after_plain_blocks_names_its_line(self, bad, monkeypatch):
+        monkeypatch.setattr(graph, "LOAD_FIRST_BLOCK", 8)
+        monkeypatch.setattr(graph, "LOAD_BLOCK", 32)
+        text = "".join(f"{i} {i + 1}\n" for i in range(200)) + f"{bad}\n" + "5 6\n" * 10
+        with pytest.raises(EdgeListParseError, match="^line 201: "):
+            load_text(text)
+
+    def test_dumped_file_takes_the_numpy_parse_after_its_first_block(self, monkeypatch, tmp_path):
+        g = generate(GeneratorConfig(model="sw", nodes=2000))
+        p = tmp_path / "sw.txt"
+        dump_edge_list(g, p)
+        per_line, plain = [], []
+        parse_lines, plain_ids = graph._parse_lines, graph._plain_ids
+        monkeypatch.setattr(graph, "_parse_lines", lambda text, lineno: per_line.append(text) or
+                            parse_lines(text, lineno))
+        monkeypatch.setattr(graph, "_plain_ids", lambda text: plain.append(plain_ids(text)) or plain[-1])
+        back = load_edge_list(p)
+        assert np.array_equal(back.indices, g.indices)
+        # the header comment sends the first block, and only it, down the per-line pass
+        assert len(per_line) == 1 and per_line[0].startswith(f"# n={g.n} m={g.m}\n")
+        assert len(plain) > 5 and plain[0] is None
+        assert all(ids is not None for ids in plain[1:])
 
 
 def dump_oracle(g):
